@@ -5,7 +5,7 @@ GO ?= go
 
 RACE_PKGS = ./internal/propagate ./internal/graph ./internal/crf ./internal/graphner ./internal/features ./internal/serving
 
-.PHONY: all build lint lint-json lint-sarif lint-baseline test race fuzz-smoke bench-smoke bench-lint-smoke bench-shard-smoke bench-lsh-smoke bench-serving-smoke debug-test ci tier1
+.PHONY: all build lint lint-json lint-sarif lint-baseline test race fuzz-smoke bench-smoke bench-lint-smoke bench-shard-smoke bench-lsh-smoke bench-serving-smoke bench-e2e-smoke debug-test ci tier1
 
 all: tier1
 
@@ -97,6 +97,12 @@ bench-lsh-smoke:
 # zero-allocation warm-request guard.
 bench-serving-smoke:
 	$(GO) test -run 'TestServingGolden|TestServingSmoke|TestServingAllocGuard' -count=1 ./internal/serving
+
+# Smoke test of the repository benchmark (~10 s): all four workloads at
+# small sizes with their correctness checks, and the compare verdicts.
+# bench/ is its own module, so the root `go test ./...` does not run it.
+bench-e2e-smoke:
+	cd bench && $(GO) test ./...
 
 # Runtime assertions (internal/analysis/assert) compiled in: CSR shape,
 # row-stochastic beliefs per sweep, NaN scans before Viterbi.

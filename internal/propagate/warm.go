@@ -2,8 +2,8 @@ package propagate
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/analysis/assert"
@@ -55,7 +55,7 @@ type WarmResult struct {
 // warm-start tolerance. Changes smaller than the tolerance are applied but
 // not propagated; unchanged regions of the graph are never visited.
 //
-//graphner:noalloc per-call setup and amortized frontier growth are justified inline; TestWarmSweepAllocGuard pins steady-state sweeps
+//graphner:noalloc per-call setup and the capacity-guarded row buffer are justified inline; TestWarmSweepAllocGuard pins the per-sweep cost
 func RunWarmFlat(g *graph.Graph, X []float64, xref [][]float64, labelled []bool, cfg Config, dirty []int32) (WarmResult, error) {
 	const Y = corpus.NumTags
 	n := g.NumVertices()
@@ -77,6 +77,9 @@ func RunWarmFlat(g *graph.Graph, X []float64, xref [][]float64, labelled []bool,
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
+	if cfg.Workers > n && n > 0 {
+		cfg.Workers = n
+	}
 	if cfg.Tolerance <= 0 {
 		cfg.Tolerance = DefaultWarmTolerance
 	}
@@ -94,31 +97,28 @@ func RunWarmFlat(g *graph.Graph, X []float64, xref [][]float64, labelled []bool,
 	}
 	res.Touched = make([]bool, n) // lint:checked noalloc: per-call result bitmap, part of the WarmResult contract
 
-	// Seed the worklist: dirty vertices and their out-neighbours, deduped
-	// with an epoch array and sorted so worker shards are deterministic.
-	mark := make([]int32, n) // lint:checked noalloc: per-call dedup epochs, one word per vertex
-	epoch := int32(1)
-	active := make([]int32, 0, len(dirty)*4) // lint:checked noalloc: per-call worklist; growth is amortized against the dirty set
-	add := func(v int32) {                   // lint:checked noalloc: one closure per call, shared by both seeding loops
-		if mark[v] != epoch {
-			mark[v] = epoch
-			active = append(active, v)
-		}
-	}
+	// The frontier is one vertex bitset per worker, laid out back to back:
+	// a sweep's workers mark the rows to revisit in their own set, and
+	// drainFrontier merges the sets into the next worklist, deduplicated
+	// and in ascending vertex order. The order is for memory locality
+	// only: Jacobi row updates read the previous sweep's beliefs, so no
+	// result depends on the order of the worklist or how it is split.
+	words := (n + 63) / 64
+	frontier := make([]uint64, cfg.Workers*words) // lint:checked noalloc: per-call frontier bitsets, one bit per vertex per worker
 	for _, v := range dirty {
-		add(v) // lint:checked noalloc: append inside add grows the per-call worklist, amortized
-	}
-	for _, v := range dirty {
+		frontier[v>>6] |= 1 << (v & 63)
 		for e, end := adj.off[v], adj.off[v+1]; e < end; e++ {
-			add(adj.to[e]) // lint:checked noalloc: same amortized worklist growth as above
+			u := adj.to[e]
+			frontier[u>>6] |= 1 << (u & 63)
 		}
 	}
-	sort.Slice(active, func(i, j int) bool { return active[i] < active[j] }) // lint:checked noalloc: sort.Slice boxes once per sweep; bounded by TestWarmSweepAllocGuard
+	active := make([]int32, n) // lint:checked noalloc: per-call worklist; a frontier never exceeds the vertex count
+	active = active[:drainFrontier(frontier, words, active)]
+	workerMax := make([]float64, cfg.Workers) // lint:checked noalloc: one word per worker, allocated once per call
 
 	var (
 		buf        []float64 // computed rows, parallel to active
 		rowDelta   []float64
-		nextActive []int32
 		sweepGuard assert.SweepGuard
 	)
 	for sweep := 0; sweep < maxSweeps && len(active) > 0; sweep++ {
@@ -130,23 +130,21 @@ func RunWarmFlat(g *graph.Graph, X []float64, xref [][]float64, labelled []bool,
 			buf = buf[:need]
 			rowDelta = rowDelta[:len(active)]
 		}
-		workers := cfg.Workers
-		if workers > len(active) {
-			workers = len(active)
-		}
+		workers := min(cfg.Workers, len(active))
 		var sweepToken uint64
 		if assert.Enabled {
 			sweepToken = sweepGuard.BeginSweep("warm propagate belief matrix")
 		}
-		var wg sync.WaitGroup
+		// Each worker takes a contiguous block of the worklist, matching
+		// RunFlat's partitioning, and runs two passes over it separated by
+		// a barrier: compute the block's rows from the current beliefs,
+		// then, once every worker has, apply them and grow the next
+		// frontier. No row of X may change before all workers have read it.
+		var updated, wg sync.WaitGroup
+		updated.Add(workers)
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			// Contiguous block ranges over the sorted worklist, matching
-			// RunFlat's partitioning: each worker walks a dense span of
-			// the frontier (and, because active is sorted, a roughly
-			// dense span of the belief matrix). Bit-identical: rowDelta
-			// and buf entries do not depend on which worker fills them.
-			go func(lo, hi int) { // lint:checked noalloc: worker goroutines + closure are per-sweep runtime cost accepted by design; TestWarmSweepAllocGuard bounds the total
+			go func(w, lo, hi int) { // lint:checked noalloc: worker goroutines + closure are per-sweep runtime cost accepted by design; TestWarmSweepAllocGuard bounds the total
 				defer wg.Done()
 				if assert.Enabled {
 					sweepGuard.CheckSweep(sweepToken, "warm propagate belief matrix")
@@ -154,50 +152,79 @@ func RunWarmFlat(g *graph.Graph, X []float64, xref [][]float64, labelled []bool,
 				for ai := lo; ai < hi; ai++ {
 					rowDelta[ai] = updateRow(adj, X, xref, labelled, int(active[ai]), cfg.Mu, cfg.Nu, uniform, buf[ai*Y:ai*Y+Y])
 				}
-			}(len(active)*w/workers, len(active)*(w+1)/workers)
+				updated.Done()
+				updated.Wait()
+
+				// Writes to X and Touched are disjoint across workers
+				// because the worklist holds each vertex once. The rows a
+				// changed vertex feeds are its in-neighbours (they read
+				// it), so expansion walks the reverse adjacency.
+				next := frontier[w*words : (w+1)*words]
+				var maxDelta float64
+				for ai := lo; ai < hi; ai++ {
+					v := active[ai]
+					d := rowDelta[ai]
+					if d > maxDelta {
+						maxDelta = d
+					}
+					if d > 0 {
+						row := int(v) * Y
+						copy(X[row:row+Y], buf[ai*Y:ai*Y+Y])
+						res.Touched[v] = true
+					}
+					if d > cfg.Tolerance {
+						for e, end := roff[v], roff[v+1]; e < end; e++ {
+							u := rto[e]
+							next[u>>6] |= 1 << (u & 63)
+						}
+					}
+				}
+				workerMax[w] = maxDelta
+			}(w, len(active)*w/workers, len(active)*(w+1)/workers)
 		}
 		wg.Wait()
 		if assert.Enabled {
 			sweepGuard.EndSweep(sweepToken, "warm propagate belief matrix")
 		}
 
-		// Apply the Jacobi sweep and grow the next frontier: the rows a
-		// changed vertex feeds are its in-neighbours (they read it), so
-		// expansion walks the reverse adjacency.
-		epoch++
-		nextActive = nextActive[:0]
-		var maxDelta float64
-		for ai, v := range active {
-			d := rowDelta[ai]
-			if d > maxDelta {
-				maxDelta = d
-			}
-			if d > 0 {
-				row := int(v) * Y
-				copy(X[row:row+Y], buf[ai*Y:ai*Y+Y])
-				res.Touched[v] = true
-			}
-			if d > cfg.Tolerance {
-				for e, end := roff[v], roff[v+1]; e < end; e++ {
-					u := rto[e]
-					if mark[u] != epoch {
-						mark[u] = epoch
-						nextActive = append(nextActive, u) // lint:checked noalloc: frontier growth amortized across sweeps; steady state reuses the swapped buffer
-					}
-				}
+		res.MaxDelta = 0
+		for _, d := range workerMax[:workers] {
+			if d > res.MaxDelta {
+				res.MaxDelta = d
 			}
 		}
 		res.Updates += len(active)
-		res.MaxDelta = maxDelta
 		res.Sweeps++
-		active, nextActive = nextActive, active
-		sort.Slice(active, func(i, j int) bool { return active[i] < active[j] }) // lint:checked noalloc: sort.Slice boxes once per sweep; bounded by TestWarmSweepAllocGuard
+		active = active[:drainFrontier(frontier, words, active[:n])]
 		if assert.Enabled {
 			assert.NoNaN(X, "warm propagate beliefs after sweep")
 		}
 	}
 	res.Converged = len(active) == 0
 	return res, nil
+}
+
+// drainFrontier merges the per-worker frontier bitsets in sets (each
+// words long, back to back) into out as ascending vertex ids, clears
+// them for the next sweep, and returns how many ids it wrote. out must
+// have room for every vertex.
+//
+//graphner:noalloc
+//graphner:nonblocking
+func drainFrontier(sets []uint64, words int, out []int32) int {
+	k := 0
+	for i := 0; i < words; i++ {
+		var word uint64
+		for s := i; s < len(sets); s += words {
+			word |= sets[s]
+			sets[s] = 0
+		}
+		for ; word != 0; word &= word - 1 {
+			out[k] = int32(i<<6 + bits.TrailingZeros64(word))
+			k++
+		}
+	}
+	return k
 }
 
 // reverseOf builds the reverse adjacency of a CSR view — for each vertex,

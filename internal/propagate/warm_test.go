@@ -3,6 +3,7 @@ package propagate
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/corpus"
@@ -186,5 +187,125 @@ func TestRunFlatToleranceEarlyStop(t *testing.T) {
 	}
 	if res.MaxDelta > 1e-8 {
 		t.Fatalf("stopped at MaxDelta %g > tolerance", res.MaxDelta)
+	}
+}
+
+// runWarmReference is a plain serial RunWarmFlat: each sweep collects the
+// next frontier under an epoch mark array and sorts it, and rows are
+// computed and applied on one goroutine. cfg must set Iterations and
+// Tolerance; no defaults are applied.
+func runWarmReference(g *graph.Graph, X []float64, xref [][]float64, labelled []bool, cfg Config, dirty []int32) WarmResult {
+	const Y = corpus.NumTags
+	n := g.NumVertices()
+	adj := adjacencyOf(g, n, cfg.Symmetrize)
+	roff, rto := reverseOf(adj, n)
+	res := WarmResult{Touched: make([]bool, n)}
+	mark := make([]int32, n)
+	epoch := int32(1)
+	var active []int32
+	add := func(v int32) {
+		if mark[v] != epoch {
+			mark[v] = epoch
+			active = append(active, v)
+		}
+	}
+	for _, v := range dirty {
+		add(v)
+		for e := adj.off[v]; e < adj.off[v+1]; e++ {
+			add(adj.to[e])
+		}
+	}
+	sort.Slice(active, func(i, j int) bool { return active[i] < active[j] })
+	for sweep := 0; sweep < cfg.Iterations && len(active) > 0; sweep++ {
+		buf := make([]float64, len(active)*Y)
+		delta := make([]float64, len(active))
+		for ai, v := range active {
+			delta[ai] = updateRow(adj, X, xref, labelled, int(v), cfg.Mu, cfg.Nu, 1.0/Y, buf[ai*Y:ai*Y+Y])
+		}
+		cur := active
+		active = nil
+		epoch++
+		res.MaxDelta = 0
+		for ai, v := range cur {
+			d := delta[ai]
+			if d > res.MaxDelta {
+				res.MaxDelta = d
+			}
+			if d > 0 {
+				copy(X[int(v)*Y:int(v)*Y+Y], buf[ai*Y:ai*Y+Y])
+				res.Touched[v] = true
+			}
+			if d > cfg.Tolerance {
+				for e := roff[v]; e < roff[v+1]; e++ {
+					add(rto[e])
+				}
+			}
+		}
+		res.Updates += len(cur)
+		res.Sweeps++
+		sort.Slice(active, func(i, j int) bool { return active[i] < active[j] })
+	}
+	res.Converged = len(active) == 0
+	return res
+}
+
+// TestRunWarmFlatMatchesReference: for every worker count, RunWarmFlat
+// gives bit-identical beliefs and the same Touched, Sweeps, Updates,
+// MaxDelta and Converged as the serial reference — on frontiers that
+// cover one bitset word or several, sparse graphs whose frontier stays
+// partial, and a run stopped at its sweep cap.
+func TestRunWarmFlatMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	cases := []struct {
+		n, k, dirty, iters int
+	}{
+		{n: 1, k: 1, dirty: 1, iters: 100000},
+		{n: 63, k: 2, dirty: 3, iters: 100000},
+		{n: 130, k: 3, dirty: 5, iters: 100000},
+		{n: 200, k: 1, dirty: 2, iters: 100000},
+		{n: 300, k: 5, dirty: 8, iters: 100000},
+		{n: 300, k: 5, dirty: 8, iters: 7},
+	}
+	for ci, c := range cases {
+		g, X, xref, labelled := warmProblem(rng, c.n, c.k)
+		// A few full sweeps first, so the warm run starts from beliefs
+		// that still move.
+		if _, err := RunFlat(g, X, xref, labelled, Config{Mu: 0.2, Nu: 0.05, Iterations: 5, Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		dirty := make([]int32, c.dirty) // repeats allowed: the frontier must dedupe them
+		for i := range dirty {
+			dirty[i] = int32(rng.Intn(c.n))
+		}
+		cfg := Config{Mu: 0.2, Nu: 0.05, Tolerance: 1e-9, Iterations: c.iters}
+		wantX := append([]float64(nil), X...)
+		want := runWarmReference(g, wantX, xref, labelled, cfg, dirty)
+		if c.iters < 100 && want.Converged {
+			t.Fatalf("case %d: reference converged in %d sweeps; the case must stop at its cap", ci, want.Sweeps)
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			cfg.Workers = workers
+			gotX := append([]float64(nil), X...)
+			got, err := RunWarmFlat(g, gotX, xref, labelled, cfg, dirty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Sweeps != want.Sweeps || got.Updates != want.Updates || got.Converged != want.Converged ||
+				math.Float64bits(got.MaxDelta) != math.Float64bits(want.MaxDelta) {
+				t.Fatalf("case %d, %d workers: got sweeps=%d updates=%d maxDelta=%g converged=%v, want %d %d %g %v",
+					ci, workers, got.Sweeps, got.Updates, got.MaxDelta, got.Converged,
+					want.Sweeps, want.Updates, want.MaxDelta, want.Converged)
+			}
+			for v := range want.Touched {
+				if got.Touched[v] != want.Touched[v] {
+					t.Fatalf("case %d, %d workers: Touched[%d] = %v, want %v", ci, workers, v, got.Touched[v], want.Touched[v])
+				}
+			}
+			for i := range wantX {
+				if math.Float64bits(gotX[i]) != math.Float64bits(wantX[i]) {
+					t.Fatalf("case %d, %d workers: belief %d = %v, want %v", ci, workers, i, gotX[i], wantX[i])
+				}
+			}
+		}
 	}
 }

@@ -67,4 +67,7 @@ make bench-lsh-smoke
 echo "==> bench serving smoke"
 make bench-serving-smoke
 
+echo "==> bench e2e smoke"
+make bench-e2e-smoke
+
 echo "==> ci OK"
