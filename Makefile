@@ -60,11 +60,12 @@ fuzz-smoke:
 	$(GO) test -run 'TestPoolLife|TestLockAtCall|TestDeterminism|TestErrDrop|TestDiffRoundTrip' -count=1 ./internal/analysis ./cmd/graphnerlint
 
 # Fast performance-regression gate (<30s): the incremental-maintenance
-# smoke and golden tests, and the allocation guards on the propagation
-# sweeps and pooled CRF decode paths (testing.AllocsPerRun bounds compiled
-# into the tests themselves).
+# smoke and golden tests, the bit-identity check of the pair-once k-NN
+# search against the per-query reference kernel, and the allocation
+# guards on the propagation sweeps and pooled CRF decode paths
+# (testing.AllocsPerRun bounds compiled into the tests themselves).
 bench-smoke:
-	$(GO) test -run 'TestIncrementalSmoke|TestKNNIncrementalOneBatchGolden|TestPatchCSRMatchesBuildCSR' -count=1 ./internal/graph
+	$(GO) test -run 'TestIncrementalSmoke|TestKNNIncrementalOneBatchGolden|TestPatchCSRMatchesBuildCSR|TestKNNMatchesReference' -count=1 ./internal/graph
 	$(GO) test -run 'TestSweepAllocGuard|TestWarmSweepAllocGuard' -count=1 ./internal/propagate
 	$(GO) test -run 'TestDecodeAllocGuard|TestPosteriorsAllocGuard' -count=1 ./internal/crf
 

@@ -333,11 +333,17 @@ func BenchmarkAblation_PropagationSymmetrize(b *testing.B) {
 }
 
 // BenchmarkAblation_KNNMaxDF measures the inverted-index pruning lever of
-// graph construction.
+// graph construction, and what it costs in fidelity: same_rows is the
+// share of rows whose neighbour set equals the uncapped (MaxDF=0) graph's.
+// Every row has K edges either way, so the edge count alone cannot tell.
 func BenchmarkAblation_KNNMaxDF(b *testing.B) {
 	cfg := synth.DefaultConfig(synth.BC2GM, 5)
 	cfg.Sentences = 600
 	c := synth.NewGenerator(cfg).Generate()
+	exact, err := graph.Build(c, graph.BuilderConfig{K: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, maxDF := range []int{0, 2000, 500} {
 		b.Run(fmt.Sprintf("maxDF=%d", maxDF), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -346,9 +352,40 @@ func BenchmarkAblation_KNNMaxDF(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(float64(g.NumEdges()), "edges")
+				b.ReportMetric(sameNeighbourSets(g, exact), "same_rows")
 			}
 		})
 	}
+}
+
+// sameNeighbourSets returns the fraction of vertices whose neighbour set
+// (targets, ignoring order and weights) is the same in a and b. Both
+// graphs must come from the same corpus, so vertex ids line up.
+func sameNeighbourSets(a, b *graph.Graph) float64 {
+	n := a.NumVertices()
+	if n == 0 {
+		return 1
+	}
+	same := 0
+	in := make(map[int32]bool)
+	for v := 0; v < n; v++ {
+		ra, rb := a.Neighbors[v], b.Neighbors[v]
+		if len(ra) != len(rb) {
+			continue
+		}
+		clear(in)
+		for _, e := range ra {
+			in[e.To] = true
+		}
+		match := true
+		for _, e := range rb {
+			match = match && in[e.To]
+		}
+		if match {
+			same++
+		}
+	}
+	return float64(same) / float64(n)
 }
 
 // BenchmarkAblation_ChemDNERFeatures isolates the cost of distributional

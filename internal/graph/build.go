@@ -76,10 +76,13 @@ type BuilderConfig struct {
 	// (default: plain BANNER-style extractor).
 	Extractor *features.Extractor
 	// MaxDF drops features occurring at more than this many vertices from
-	// candidate generation (they still contribute to cosine scores of
-	// generated candidates). 0 means no cap. High-document-frequency
-	// features generate enormous candidate lists without discriminating;
-	// capping them prunes the exact search with negligible recall loss.
+	// the k-NN search: a capped feature generates no candidates and adds
+	// nothing to dot products, but still counts in the vector norms. 0
+	// means no cap. High-document-frequency features generate enormous
+	// candidate lists, so capping them cuts the search cost — but it
+	// changes the graph: on a 600-sentence BC2GM corpus MaxDF 2000 keeps
+	// the uncapped neighbour set in 97.4% of rows and MaxDF 500 in 80.4%,
+	// and weights differ in most rows (BenchmarkAblation_KNNMaxDF).
 	MaxDF int
 	// Workers bounds the parallelism of the k-NN search (default
 	// GOMAXPROCS).
@@ -344,18 +347,11 @@ type posting struct {
 	val float64
 }
 
-// knn finds, for every vertex, its K most cosine-similar vertices, using an
-// inverted index for candidate generation and exact sparse dot products for
-// scoring. The search over query vertices runs in parallel.
-//
-// First-touch tracking uses a per-worker epoch array rather than a
-// scores[cand] == 0 sentinel: with mixed-sign vector values a partial dot
-// product can transiently cancel to exactly zero, which would re-append the
-// candidate and corrupt the top-K pass (PPMI values are strictly positive,
-// but knn is also exercised directly with arbitrary vectors).
-func knn(vecs []sparseVec, cfg BuilderConfig) [][]Edge {
-	n := len(vecs)
-	// Inverted index: feature id -> postings carrying (vertex, value).
+// buildPostings returns the inverted index over vecs: feature id ->
+// postings carrying (vertex, value) in ascending vertex order. Two passes —
+// count postings per feature, then fill one flat backing — so no list
+// regrows by append.
+func buildPostings(vecs []sparseVec) [][]posting {
 	nf := 0
 	for i := range vecs {
 		for _, id := range vecs[i].ids {
@@ -364,8 +360,6 @@ func knn(vecs []sparseVec, cfg BuilderConfig) [][]Edge {
 			}
 		}
 	}
-	// Two passes: count postings per feature, then fill one flat backing —
-	// no per-list append growth.
 	counts := make([]int32, nf)
 	total := 0
 	for i := range vecs {
@@ -387,33 +381,185 @@ func knn(vecs []sparseVec, cfg BuilderConfig) [][]Edge {
 			postings[id] = append(postings[id], posting{v: v32, val: vecs[vi].vals[k]})
 		}
 	}
+	return postings
+}
 
-	out := make([][]Edge, n)
-	var wg sync.WaitGroup
+// knn finds, for every vertex, its K most cosine-similar vertices by an
+// exact inverted-index search that scores each unordered vertex pair once.
+//
+// Query vi walks only the postings with v > vi (the upper triangle; each
+// postings list is sorted by vertex, so a binary search finds the start),
+// accumulating scores[c] = Σ q_f·c_f over q's uncapped features in
+// ascending id order. Each touched candidate's cosine w is computed once
+// and offered to both rows: Edge{c,w} to vi and Edge{vi,w} to c. The rows
+// are bit-identical to a per-query search from every endpoint:
+//
+//   - both endpoints sum the same IEEE products in the same ascending
+//     feature order (a·b == b·a exactly), and |q|·|c| commutes likewise;
+//   - the MaxDF cap tests the global document frequency, the same from
+//     both ends;
+//   - edgeLess is a strict total order, so a row's top-K does not depend
+//     on the order its edges are offered in.
+//
+// Each worker owns a full set of n top-K rows backed by one n·K Edge array
+// and takes the queries vi = w, w+W, …, which balances the triangle. After
+// the barrier the rows of workers 1..W−1 are folded into worker 0's, whose
+// backing array becomes the output (each row capped with a full slice
+// expression, so an append cannot spill into the next row). The extra
+// memory over the output rows themselves is (W−1)·n·K·16 bytes of edges,
+// plus 32 bytes per vertex per worker of row lengths, row bars, scores and
+// epochs — 1.9 MB of edges for 12k vertices, K=10, W=2.
+//
+// Zero-norm vertices get nil rows; a vertex with no candidates gets an
+// empty non-nil row.
+//
+// Touched candidates are marked with a per-worker epoch array rather than
+// by a nonzero score: with mixed-sign vector values a dot product can
+// cancel to exactly zero and must still yield its edge (PPMI values are
+// strictly positive, but knn is also exercised directly with arbitrary
+// vectors).
+func knn(vecs []sparseVec, cfg BuilderConfig) [][]Edge {
+	n := len(vecs)
+	postings := buildPostings(vecs)
 	workers := cfg.Workers
+	rows := make([]topKRows, workers)
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			scores := make([]float64, n)
-			seen := make([]int32, n) // epoch at which scores[c] became valid
-			epoch := int32(0)
-			touched := make([]int32, 0, 1024)
-			for vi := w; vi < n; vi += workers {
-				q := &vecs[vi]
-				if q.norm == 0 {
-					continue
+			rows[w] = newTopKRows(n, cfg.K)
+			knnTriangle(vecs, postings, cfg.MaxDF, w, workers, &rows[w])
+		}(w)
+	}
+	wg.Wait()
+
+	// Fold workers 1..W−1 into worker 0's rows; the row blocks are
+	// disjoint, so the fold runs in parallel too.
+	dst := &rows[0]
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for v := w * n / workers; v < (w+1)*n/workers; v++ {
+				for o := 1; o < workers; o++ {
+					for _, e := range rows[o].row(v) {
+						if dst.admits(int32(v), e) {
+							dst.insert(int32(v), e)
+						}
+					}
 				}
-				epoch++
-				touched = scoreInto(q, int32(vi), postings, cfg.MaxDF, scores, seen, epoch, touched[:0])
-				// Select top K by cosine. Stale scores need no reset pass:
-				// the next query's epoch invalidates them wholesale.
-				out[vi] = topK(scores, touched, q.norm, vecs, cfg.K, nil)
 			}
 		}(w)
 	}
 	wg.Wait()
+	out := make([][]Edge, n)
+	for v := range out {
+		if vecs[v].norm != 0 {
+			out[v] = dst.row(v)
+		}
+	}
 	return out
+}
+
+// knnTriangle runs worker w's share of knn's upper-triangle search: the
+// queries vi = w, w+workers, …, each scored against the candidates c > vi
+// and offered to both rows of rs.
+func knnTriangle(vecs []sparseVec, postings [][]posting, maxDF, w, workers int, rs *topKRows) {
+	n := len(vecs)
+	scores := make([]float64, n)
+	seen := make([]int32, n) // epoch of the last query that touched c
+	epoch := int32(0)
+	for vi := w; vi < n; vi += workers {
+		q := &vecs[vi]
+		if q.norm == 0 {
+			continue
+		}
+		epoch++
+		self := int32(vi)
+		// hi is the largest candidate any uncapped feature reaches; the
+		// scores of (vi, hi] are zeroed up front so the accumulation loop
+		// runs without a first-touch branch.
+		hi := self
+		for _, id := range q.ids {
+			pl := postings[id]
+			if maxDF > 0 && len(pl) > maxDF || len(pl) == 0 {
+				continue
+			}
+			if last := pl[len(pl)-1].v; last > hi {
+				hi = last
+			}
+		}
+		clear(scores[self+1 : hi+1])
+		for f, id := range q.ids {
+			pl := postings[id]
+			if maxDF > 0 && len(pl) > maxDF {
+				continue
+			}
+			qv := q.vals[f]
+			start := sort.Search(len(pl), func(j int) bool { return pl[j].v > self })
+			for _, p := range pl[start:] {
+				seen[p.v] = epoch
+				scores[p.v] += qv * p.val
+			}
+		}
+		// Dense scan of (vi, hi]: candidates come out in ascending order
+		// without a touched list in the accumulation loop.
+		for c := self + 1; c <= hi; c++ {
+			if seen[c] != epoch {
+				continue
+			}
+			cn := vecs[c].norm
+			if cn == 0 {
+				continue
+			}
+			wt := scores[c] / (q.norm * cn)
+			if e := (Edge{To: c, Weight: wt}); rs.admits(self, e) {
+				rs.insert(self, e)
+			}
+			if e := (Edge{To: self, Weight: wt}); rs.admits(c, e) {
+				rs.insert(c, e)
+			}
+		}
+	}
+}
+
+// topKRows is one set of n descending-sorted top-K rows over a single
+// n·k Edge backing: row v occupies buf[v·k : v·k+lens[v]]. bar[v] mirrors
+// the last edge of a full row, so the common full-row reject reads two
+// small dense arrays instead of the row itself.
+type topKRows struct {
+	k    int
+	buf  []Edge
+	lens []int32
+	bar  []Edge
+}
+
+func newTopKRows(n, k int) topKRows {
+	return topKRows{k: k, buf: make([]Edge, n*k), lens: make([]int32, n), bar: make([]Edge, n)}
+}
+
+// row returns row v, capped at its own k slots.
+func (r *topKRows) row(v int) []Edge {
+	base := v * r.k
+	return r.buf[base : base+int(r.lens[v]) : base+r.k]
+}
+
+// admits reports whether e would enter row v: the row is not full, or e
+// precedes its last edge. This is insertTopKEdge's own reject test, not a
+// float threshold, so a NaN weight still enters a row that is not full.
+func (r *topKRows) admits(v int32, e Edge) bool {
+	return int(r.lens[v]) < r.k || edgeLess(e, r.bar[v], nil)
+}
+
+// insert folds an admitted e into row v.
+func (r *topKRows) insert(v int32, e Edge) {
+	base := int(v) * r.k
+	row := insertTopKEdge(r.buf[base:base+int(r.lens[v]):base+r.k], e, r.k, nil)
+	r.lens[v] = int32(len(row))
+	if len(row) == r.k {
+		r.bar[v] = row[r.k-1]
+	}
 }
 
 // scoreInto accumulates the sparse partial dot products of query vector q
@@ -479,7 +625,13 @@ func topK(scores []float64, touched []int32, qnorm float64, vecs []sparseVec, k 
 		if cn == 0 {
 			continue
 		}
-		edges = insertTopKEdge(edges, Edge{To: c, Weight: scores[c] / (qnorm * cn)}, k, rank)
+		e := Edge{To: c, Weight: scores[c] / (qnorm * cn)}
+		// Full-row reject inline, ahead of the call: once the buffer fills,
+		// most candidates fail this test.
+		if len(edges) == k && !edgeLess(e, edges[k-1], rank) {
+			continue
+		}
+		edges = insertTopKEdge(edges, e, k, rank)
 	}
 	return edges
 }

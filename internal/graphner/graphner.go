@@ -63,8 +63,8 @@ type Config struct {
 
 	// Workers bounds parallelism throughout (default GOMAXPROCS).
 	Workers int
-	// MaxDF caps feature document frequency during k-NN candidate
-	// generation (see graph.BuilderConfig).
+	// MaxDF caps feature document frequency in the k-NN search (see
+	// graph.BuilderConfig).
 	MaxDF int
 	// Shards partitions the similarity graph for postings-partitioned
 	// construction and SPMD propagation (see graph.ShardedGraph). 0 or 1
