@@ -5,7 +5,7 @@ GO ?= go
 
 RACE_PKGS = ./internal/propagate ./internal/graph ./internal/crf ./internal/graphner ./internal/features ./internal/serving
 
-.PHONY: all build lint lint-json lint-sarif lint-baseline test race fuzz-smoke bench-smoke bench-lint-smoke bench-shard-smoke bench-lsh-smoke bench-serving-smoke bench-e2e-smoke debug-test ci tier1
+.PHONY: all build lint lint-json lint-sarif lint-baseline test race fuzz-smoke bench-smoke bench-lint-smoke bench-lsh-smoke bench-serving-smoke bench-e2e-smoke debug-test ci tier1
 
 all: tier1
 
@@ -60,13 +60,14 @@ fuzz-smoke:
 	$(GO) test -run 'TestPoolLife|TestLockAtCall|TestDeterminism|TestErrDrop|TestDiffRoundTrip' -count=1 ./internal/analysis ./cmd/graphnerlint
 
 # Fast performance-regression gate (<30s): the incremental-maintenance
-# smoke and golden tests, the bit-identity check of the pair-once k-NN
-# search against the per-query reference kernel, and the allocation
-# guards on the propagation sweeps and pooled CRF decode paths
-# (testing.AllocsPerRun bounds compiled into the tests themselves).
+# smoke and golden tests, the bit-identity checks of the pair-once k-NN
+# search and the warm-start propagation kernel against their reference
+# implementations, the loss-schedule check of the full-sweep kernel, and
+# the allocation guards on the propagation sweeps and pooled CRF decode
+# paths (testing.AllocsPerRun bounds compiled into the tests themselves).
 bench-smoke:
 	$(GO) test -run 'TestIncrementalSmoke|TestKNNIncrementalOneBatchGolden|TestPatchCSRMatchesBuildCSR|TestKNNMatchesReference' -count=1 ./internal/graph
-	$(GO) test -run 'TestSweepAllocGuard|TestWarmSweepAllocGuard' -count=1 ./internal/propagate
+	$(GO) test -run 'TestSweepAllocGuard|TestWarmSweepAllocGuard|TestRunWarmFlatMatchesReference|TestLossEverySchedule' -count=1 ./internal/propagate
 	$(GO) test -run 'TestDecodeAllocGuard|TestPosteriorsAllocGuard' -count=1 ./internal/crf
 
 # Linter self-benchmark: cold and warm whole-module graphnerlint runs
@@ -74,15 +75,6 @@ bench-smoke:
 # a warm-time cliff here means the result cache broke.
 bench-lint-smoke:
 	$(GO) run ./cmd/benchtables -lint
-
-# Sharded-path smoke (<2 s of test time): re-verifies that sharded k-NN
-# construction and SPMD propagation with halo exchange are bit-identical
-# to the single-index path on tiny corpora (shard counts up to 8,
-# serialization round-trip included), plus the zero-alloc steady-state
-# guard on the per-shard sweep.
-bench-shard-smoke:
-	$(GO) test -run 'TestShardedBuildMatchesBuild$$|TestShardGraphRoundTrip' -count=1 ./internal/graph
-	$(GO) test -run 'TestRunShardedFlatMatchesRunFlat|TestRunShardedMatchesRun|TestShardedSweepAllocGuard' -count=1 ./internal/propagate
 
 # LSH smoke (<2 s of test time): the recall floor gate for the banded-LSH
 # builder across feature modes and K (recall@K >= 0.9 against the exact

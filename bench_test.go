@@ -300,38 +300,6 @@ func BenchmarkAblation_TransductiveVsInductive(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_PropagationSymmetrize compares directed versus
-// symmetrized neighbour propagation.
-func BenchmarkAblation_PropagationSymmetrize(b *testing.B) {
-	cfg := synth.DefaultConfig(synth.BC2GM, 5)
-	cfg.Sentences = 800
-	c := synth.NewGenerator(cfg).Generate()
-	g, err := graph.Build(c, graph.BuilderConfig{K: 10})
-	if err != nil {
-		b.Fatal(err)
-	}
-	refs := graphner.ReferenceDistributions(c)
-	xref := make([][]float64, g.NumVertices())
-	labelled := make([]bool, g.NumVertices())
-	for v, ng := range g.Vertices {
-		if d, ok := refs[ng]; ok {
-			xref[v], labelled[v] = d, true
-		}
-	}
-	for _, sym := range []bool{false, true} {
-		b.Run(fmt.Sprintf("symmetrize=%v", sym), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				X := make([][]float64, g.NumVertices())
-				if _, err := propagate.Run(g, X, xref, labelled, propagate.Config{
-					Mu: 1e-6, Nu: 1e-6, Iterations: 3, Symmetrize: sym,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_KNNMaxDF measures the inverted-index pruning lever of
 // graph construction, and what it costs in fidelity: same_rows is the
 // share of rows whose neighbour set equals the uncapped (MaxDF=0) graph's.

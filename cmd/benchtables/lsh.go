@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/corpus/synth"
 	"repro/internal/eval"
 	"repro/internal/graph"
@@ -78,6 +79,15 @@ type lshReport struct {
 	F1GatePass  bool    `json:"f1_gate_pass"`
 }
 
+// genLSHCorpus mirrors the hotpaths corpus generator: same profile, same
+// seed, so the LSH sweep measures the workload behind the recorded
+// exact-build numbers.
+func genLSHCorpus(sentences int) *corpus.Corpus {
+	cfg := synth.DefaultConfig(synth.BC2GM, 5)
+	cfg.Sentences = sentences
+	return synth.NewGenerator(cfg).Generate()
+}
+
 // runLSH benchmarks the banded-LSH graph builder against the exact
 // inverted-index builder at 250/500/1000/2000/4000 sentences (recall
 // and worker-count bit-identity verified inline before any timing),
@@ -100,7 +110,7 @@ func runLSH(outPath string, log *os.File) error {
 	report.Config = recommended
 
 	for _, sentences := range []int{250, 500, 1000, 2000, 4000} {
-		c := genShardCorpus(sentences)
+		c := genLSHCorpus(sentences)
 		exactCfg := graph.BuilderConfig{K: K}
 		lshCfg := graph.BuilderConfig{K: K, GraphMode: graph.ModeLSH, LSH: recommended}
 

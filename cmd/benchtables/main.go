@@ -45,8 +45,6 @@ func main() {
 	incrementalOut := flag.String("incremental-out", "BENCH_incremental.json", "output path for -incremental (\"-\" for stdout)")
 	lsh := flag.Bool("lsh", false, "benchmark banded-LSH graph construction vs the exact builder across corpus sizes (recall and worker bit-identity verified inline, end-to-end F1 accuracy gate) and write a JSON report")
 	lshOut := flag.String("lsh-out", "BENCH_lsh.json", "output path for -lsh (\"-\" for stdout)")
-	shard := flag.Bool("shard", false, "benchmark sharded graph construction and SPMD propagation across shard x worker counts (bit-identity verified inline) and write a JSON report")
-	shardOut := flag.String("shard-out", "BENCH_shard.json", "output path for -shard (\"-\" for stdout)")
 	servingFlag := flag.Bool("serving", false, "benchmark the graphnerd batching server over a frozen artifact (golden identity and warm-allocation checks inline, latency sweep across worker counts) and write a JSON report")
 	servingOut := flag.String("serving-out", "BENCH_serving.json", "output path for -serving (\"-\" for stdout)")
 	lintFlag := flag.Bool("lint", false, "benchmark graphnerlint itself (cold and warm whole-module runs, packages analyzed, findings count) and write a JSON report")
@@ -74,7 +72,7 @@ func main() {
 		figs = intList{2, 3, 4, 5}
 		*statsFlag = true
 	}
-	if len(tables) == 0 && len(figs) == 0 && !*statsFlag && !*statsOnly && !*hotpaths && !*incremental && !*shard && !*lsh && !*servingFlag && !*lintFlag {
+	if len(tables) == 0 && len(figs) == 0 && !*statsFlag && !*statsOnly && !*hotpaths && !*incremental && !*lsh && !*servingFlag && !*lintFlag {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -97,11 +95,6 @@ func main() {
 	if *incremental {
 		if err := runIncremental(*incrementalOut, log); err != nil {
 			fail("incremental", err)
-		}
-	}
-	if *shard {
-		if err := runShard(*shardOut, log); err != nil {
-			fail("shard", err)
 		}
 	}
 	if *lsh {

@@ -176,7 +176,6 @@ func cmdRun(args []string) error {
 	iters := fs.Int("crf-iters", 40, "CRF training iterations")
 	alpha := fs.Float64("alpha", 0, "mixture weight of the CRF posterior (0 = default)")
 	k := fs.Int("k", 10, "graph out-degree")
-	shards := fs.Int("shards", 1, "graph shards for postings-partitioned construction and SPMD propagation (results are bit-identical for every value)")
 	applyLSH := lshFlags(fs)
 	reps := fs.Int("sigf", 10000, "sigf repetitions (0 disables)")
 	incremental := fs.Bool("incremental", false, "run TEST in streaming mode: fold extra unlabelled batches into the maintained graph with warm-start propagation")
@@ -201,7 +200,6 @@ func cmdRun(args []string) error {
 	gcfg.CRFIterations = *iters
 	gcfg.Alpha = *alpha
 	gcfg.K = *k
-	gcfg.Shards = *shards
 	if err := applyLSH(&gcfg); err != nil {
 		return err
 	}
@@ -427,7 +425,6 @@ func cmdFreeze(args []string) error {
 	iters := fs.Int("crf-iters", 40, "CRF training iterations")
 	alpha := fs.Float64("alpha", 0, "mixture weight of the CRF posterior (0 = default)")
 	k := fs.Int("k", 10, "graph out-degree")
-	shards := fs.Int("shards", 1, "graph shards during the freeze-time build")
 	applyLSH := lshFlags(fs)
 	out := fs.String("out", "artifact.gna", "artifact output path")
 	if err := fs.Parse(args); err != nil {
@@ -449,7 +446,6 @@ func cmdFreeze(args []string) error {
 	gcfg.CRFIterations = *iters
 	gcfg.Alpha = *alpha
 	gcfg.K = *k
-	gcfg.Shards = *shards
 	if err := applyLSH(&gcfg); err != nil {
 		return err
 	}

@@ -20,7 +20,7 @@
 // On top of the syntactic suite, four flow-sensitive analyzers run over
 // per-function control-flow graphs (internal/analysis/cfg) solved with
 // the generic worklist engine (internal/analysis/dataflow) — the
-// correctness gate for the parallel/sharded propagation work:
+// correctness gate for the parallel propagation and serving work:
 //
 //   - lockbalance: every Lock reaches an Unlock on all CFG paths
 //     (defer-aware), no double-Lock on a path, no deferred Unlock in a

@@ -129,8 +129,8 @@ func capturedWrites(info *types.Info, lit *ast.FuncLit) []sharedWrite {
 				// The disjoint-shard idiom extended to struct fields:
 				// states[s].delta = ... where s is the worker's own shard
 				// number. Workers index disjoint elements, so the field
-				// slots are disjoint too — the halo-exchange/SPMD write
-				// pattern of the sharded propagation sweep.
+				// slots are disjoint too — the per-worker state-slot
+				// write pattern.
 				return
 			}
 			if base := rootIdent(e.X); base != nil {

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -87,10 +88,10 @@ type BuilderConfig struct {
 	// Workers bounds the parallelism of the k-NN search (default
 	// GOMAXPROCS).
 	Workers int
-	// Shards partitions the vertex set for postings-partitioned k-NN
-	// construction and per-shard propagation layout (see shard.go).
-	// 0 or 1 selects the single-index path; the assembled graph is
-	// bit-identical for every value.
+	// Shards is ignored. The graph never depended on it, so ignoring it
+	// is exact.
+	//
+	// Deprecated: the sharded builder was removed; set Workers instead.
 	Shards int
 	// Stats, when non-nil, freezes the corpus-level statistics of the PPMI
 	// transform to a snapshot taken from an earlier corpus: the feature
@@ -115,12 +116,65 @@ type BuilderConfig struct {
 }
 
 // Build constructs the 3-gram similarity graph over the corpus (typically
-// the union of labelled and unlabelled data, per Algorithm 1). With
-// cfg.Shards > 1 the k-NN search runs the postings-partitioned merge of
-// shard.go; the assembled graph is bit-identical either way.
+// the union of labelled and unlabelled data, per Algorithm 1): validate,
+// vectorize, search, assemble. The k-NN search is the exact pair-once
+// merge of knn, or the banded-LSH search of knnLSH when cfg.GraphMode is
+// ModeLSH.
 func Build(corp *corpus.Corpus, cfg BuilderConfig) (*Graph, error) {
-	g, _, err := buildWithShards(corp, cfg)
-	return g, err
+	if len(corp.Sentences) == 0 {
+		return nil, fmt.Errorf("graph: empty corpus")
+	}
+	if cfg.K <= 0 {
+		cfg.K = 10
+	}
+	if cfg.Extractor == nil {
+		cfg.Extractor = features.NewExtractor(nil)
+	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.Stats != nil && cfg.Stats.mode != cfg.Mode {
+		return nil, fmt.Errorf("graph: stats snapshot was taken in %v mode, config wants %v", cfg.Stats.mode, cfg.Mode)
+	}
+	if cfg.Mode == MIFeatures && cfg.Stats == nil {
+		if cfg.Tags == nil {
+			return nil, fmt.Errorf("graph: MIFeatures mode requires Tags")
+		}
+		if len(cfg.Tags) != len(corp.Sentences) {
+			return nil, fmt.Errorf("graph: %d tag rows for %d sentences", len(cfg.Tags), len(corp.Sentences))
+		}
+	}
+
+	if cfg.GraphMode == ModeLSH {
+		// Fill and validate the LSH knobs before the expensive counting
+		// pass: a bad Bits value must fail loudly, not truncate silently.
+		if cfg.LSH.Workers <= 0 {
+			cfg.LSH.Workers = cfg.Workers
+		}
+		cfg.LSH.defaults()
+		if err := cfg.LSH.validate(); err != nil {
+			return nil, err
+		}
+	}
+
+	vecs, verts, _, _, _ := vertexVectors(corp, cfg)
+	var neighbors [][]Edge
+	if cfg.GraphMode == ModeLSH {
+		neighbors = knnLSH(vecs, cfg, cfg.LSH)
+	} else {
+		neighbors = knn(vecs, cfg)
+	}
+	g := &Graph{
+		Vertices:  verts,
+		Index:     make(map[corpus.NGram]int, len(verts)),
+		Neighbors: neighbors,
+		K:         cfg.K,
+	}
+	for i, v := range verts {
+		g.Index[v] = i
+	}
+	g.BuildCSR()
+	return g, nil
 }
 
 // sparseVec is a sorted-by-feature-id sparse vector with cached norm.
@@ -640,8 +694,8 @@ func topK(scores []float64, touched []int32, qnorm float64, vecs []sparseVec, k 
 // descending, then canonical vertex order ascending on exact-weight ties.
 // Because no two candidates of one query share a To id, the order is
 // strict and total — which makes insertTopKEdge insertion-order
-// independent, the property the sharded merge relies on to fold per-shard
-// candidate passes into one buffer without changing bits.
+// independent: candidates may be folded into a buffer in any order
+// without changing bits.
 func edgeLess(a, b Edge, rank []int32) bool {
 	if a.Weight != b.Weight { // lint:checked exact tie-break keeps candidate order deterministic
 		return a.Weight > b.Weight
@@ -654,8 +708,8 @@ func edgeLess(a, b Edge, rank []int32) bool {
 
 // insertTopKEdge folds one candidate into a descending-sorted top-K
 // buffer by ordered insertion (O(K) with K=10), returning the possibly
-// regrown slice. The batch topK pass, the incremental Updater, and the
-// sharded merge all share this fold.
+// regrown slice. The pair-once rows of knn, the batch topK pass the
+// incremental Updater runs, and the LSH re-rank all share this fold.
 func insertTopKEdge(edges []Edge, e Edge, k int, rank []int32) []Edge {
 	if len(edges) == k {
 		if !edgeLess(e, edges[k-1], rank) {

@@ -175,11 +175,11 @@ func bandOf(sig []uint64, t, nbits int) uint32 {
 // entry's full signature inline, in bucket order, so the Hamming scan
 // reads memory sequentially.
 type lshIndex struct {
-	n, nf           int
-	bits, tables    int
-	sigWords        int
-	maxBucket       int
-	multiProbe      bool
+	n, nf        int
+	bits, tables int
+	sigWords     int
+	maxBucket    int
+	multiProbe   bool
 
 	fullSigs    []uint64 // vertex-major: fullSigs[v*sigWords : (v+1)*sigWords]
 	bands       []uint32 // table-major band signatures: bands[t*n+v]
@@ -701,9 +701,8 @@ func refineNeighbors(vecs []sparseVec, prev [][]Edge, prevIsNew [][]bool, k, wor
 }
 
 // parallelBlocks runs fn over contiguous index blocks [lo, hi) covering
-// [0, n), one block per worker — the partition shape the sharded builder
-// standardized on (better locality than striding, and each out[vi] is
-// written by exactly one goroutine).
+// [0, n), one block per worker: better locality than striding, and each
+// out[vi] is written by exactly one goroutine.
 func parallelBlocks(n, workers int, fn func(lo, hi int)) {
 	if workers > n {
 		workers = n

@@ -10,8 +10,22 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/corpus/synth"
 	"repro/internal/tokenize"
 )
+
+// lshTestCorpus generates a synthetic corpus plus per-sentence tags for
+// MIFeatures-mode configs.
+func lshTestCorpus(seed int64, sentences int) (*corpus.Corpus, [][]corpus.Tag) {
+	cfg := synth.DefaultConfig(synth.BC2GM, seed)
+	cfg.Sentences = sentences
+	c := synth.NewGenerator(cfg).Generate()
+	tags := make([][]corpus.Tag, len(c.Sentences))
+	for i, s := range c.Sentences {
+		tags[i] = s.Tags
+	}
+	return c, tags
+}
 
 // clusteredVecs builds sparse vectors in c latent clusters: members of a
 // cluster share most feature mass, so true nearest neighbours are
@@ -116,14 +130,13 @@ func TestBuildWithLSH(t *testing.T) {
 	}
 }
 
-// TestLSHRecallRegression is the recall@K bar across feature modes × K,
-// mirroring the sharded builder's equivalence sweep: for every vertex
-// representation of Table III and both out-degrees, the LSH builder at
-// its default setting must recover at least 90% of the exact k-NN edges
-// on the synthetic corpus. This is the floor `make bench-lsh-smoke`
+// TestLSHRecallRegression is the recall@K bar across feature modes × K:
+// for every vertex representation of Table III and both out-degrees, the
+// LSH builder at its default setting must recover at least 90% of the
+// exact k-NN edges on the synthetic corpus. This is the floor `make bench-lsh-smoke`
 // gates CI on.
 func TestLSHRecallRegression(t *testing.T) {
-	corp, tags := shardTestCorpus(11, 80)
+	corp, tags := lshTestCorpus(11, 80)
 	modes := []struct {
 		mode FeatureMode
 		tags [][]corpus.Tag
@@ -155,10 +168,10 @@ func TestLSHRecallRegression(t *testing.T) {
 }
 
 // TestLSHDeterministicAcrossWorkers is the determinism property the
-// sharded builder is held to: for a fixed seed and corpus, the serialized
+// exact builder is held to: for a fixed seed and corpus, the serialized
 // LSH graph must be byte-identical at every worker count.
 func TestLSHDeterministicAcrossWorkers(t *testing.T) {
-	corp, _ := shardTestCorpus(17, 60)
+	corp, _ := lshTestCorpus(17, 60)
 	serialize := func(workers int) []byte {
 		cfg := BuilderConfig{K: 5, Workers: workers, GraphMode: ModeLSH,
 			LSH: LSHConfig{Bits: 10, Tables: 8, MultiProbe: true, Seed: 21}}
@@ -185,7 +198,7 @@ func TestLSHDeterministicAcrossWorkers(t *testing.T) {
 // different seed produces a different (but still valid) graph on data
 // where bucketing has freedom.
 func TestLSHSeedDeterminism(t *testing.T) {
-	corp, _ := shardTestCorpus(19, 50)
+	corp, _ := lshTestCorpus(19, 50)
 	build := func(seed int64) *Graph {
 		g, err := Build(corp, BuilderConfig{K: 4, Workers: 2, GraphMode: ModeLSH,
 			LSH: LSHConfig{Bits: 12, Tables: 4, Seed: seed}})

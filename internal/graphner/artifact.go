@@ -44,7 +44,7 @@ type Artifact struct {
 // Artifact header constants. The magic is 8 bytes so the header stays
 // 8-byte aligned: magic, version+reserved, payload length, checksum.
 const (
-	artifactMagic   = "GNERARTF"
+	artifactMagic = "GNERARTF"
 	// Version history: 1 — initial layout; 2 — graph-mode and LSH
 	// configuration appended to the config section.
 	artifactVersion = 2
@@ -330,7 +330,7 @@ func (a *Artifact) encodePayload(w io.Writer) error {
 	b.i64(int64(cfg.Order))
 	b.i64(int64(cfg.CRFIterations))
 	b.i64(int64(cfg.MaxDF))
-	b.i64(int64(cfg.Shards))
+	b.i64(int64(cfg.Shards)) // deprecated and unread; kept so the format is unchanged
 	b.i64(int64(cfg.LossEvery))
 	b.i64(int64(cfg.GraphMode))
 	b.i64(int64(cfg.LSH.Bits))

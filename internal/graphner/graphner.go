@@ -66,10 +66,11 @@ type Config struct {
 	// MaxDF caps feature document frequency in the k-NN search (see
 	// graph.BuilderConfig).
 	MaxDF int
-	// Shards partitions the similarity graph for postings-partitioned
-	// construction and SPMD propagation (see graph.ShardedGraph). 0 or 1
-	// keeps the single-shard pipeline; results are bit-identical for
-	// every value.
+	// Shards is ignored. Results never depended on it, so ignoring it
+	// is exact. Snapshots and artifacts still carry the value, so their
+	// formats are unchanged.
+	//
+	// Deprecated: in-process sharding was removed; set Workers instead.
 	Shards int
 	// GraphMode selects the k-NN algorithm graph construction runs:
 	// graph.ModeExact (the default) or graph.ModeLSH, the banded
@@ -349,7 +350,6 @@ func (s *System) builderConfig(union *corpus.Corpus, ins []*crf.Instance) graph.
 		Extractor:   s.cfg.Extractor,
 		MaxDF:       s.cfg.MaxDF,
 		Workers:     s.cfg.Workers,
-		Shards:      s.cfg.Shards,
 		GraphMode:   s.cfg.GraphMode,
 		LSH:         s.cfg.LSH,
 	}
@@ -468,26 +468,14 @@ func (s *System) testOnUnion(test, union *corpus.Corpus, ins []*crf.Instance, g 
 		}
 	}
 
-	// Line 7: propagate. With Shards > 1 the sweep runs the SPMD kernel
-	// over the per-shard layout; beliefs are bit-identical either way.
-	pcfg := propagate.Config{
+	// Line 7: propagate.
+	prop, err := propagate.Run(g, X, xref, labelled, propagate.Config{
 		Mu:         s.cfg.Mu,
 		Nu:         s.cfg.Nu,
 		Iterations: s.cfg.Iterations,
 		Workers:    s.cfg.Workers,
 		LossEvery:  s.cfg.LossEvery,
-	}
-	var prop propagate.Result
-	var err error
-	if s.cfg.Shards > 1 {
-		var sg *graph.ShardedGraph
-		sg, err = graph.ShardGraph(g, s.cfg.Shards)
-		if err == nil {
-			prop, err = propagate.RunSharded(sg, X, xref, labelled, pcfg)
-		}
-	} else {
-		prop, err = propagate.Run(g, X, xref, labelled, pcfg)
-	}
+	})
 	if err != nil {
 		return nil, fmt.Errorf("graphner: propagation: %w", err)
 	}

@@ -34,7 +34,7 @@ type snapshot struct {
 	L2              float64
 	CRFIterations   int
 	MaxDF           int
-	Shards          int
+	Shards          int // deprecated and unread; kept so the format is unchanged
 	LossEvery       int
 	TransitionPower float64
 	GraphMode       int

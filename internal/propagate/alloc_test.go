@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/race"
 )
 
@@ -40,44 +39,6 @@ func TestSweepAllocGuard(t *testing.T) {
 	// only — nothing proportional to vertices or edges.
 	if perSweep := (nine - one) / 8; perSweep > 6 {
 		t.Fatalf("RunFlat allocates %.1f objects per additional sweep, want ≤ 6", perSweep)
-	}
-}
-
-// TestShardedSweepAllocGuard extends the allocation guard to the
-// per-shard SPMD sweep: with the shard states, halo tables, and loss
-// scratch set up per call, the steady-state halo exchange itself must
-// not allocate — the marginal cost of an extra sweep is goroutine and
-// waitgroup bookkeeping only (two barriers: update pass and exchange
-// pass), nothing proportional to vertices, edges, or halo size.
-func TestShardedSweepAllocGuard(t *testing.T) {
-	if race.Enabled {
-		t.Skip("race instrumentation allocates; counts are only meaningful in normal builds")
-	}
-	rng := rand.New(rand.NewSource(17))
-	g, X, xref, labelled := warmProblem(rng, 300, 5)
-	sg, err := graph.ShardGraph(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	measure := func(iters int) float64 {
-		cfg := Config{Mu: 0.1, Nu: 0.1, Iterations: iters, Workers: 1}
-		if _, err := RunShardedFlat(sg, X, xref, labelled, cfg); err != nil {
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(50, func() {
-			if _, err := RunShardedFlat(sg, X, xref, labelled, cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	one, nine := measure(1), measure(9)
-	// Fixed per-call scaffolding: 4 shard states with double buffers and
-	// per-shard xref/labelled views, the loss gather scratch, the result.
-	if one > 40 {
-		t.Fatalf("RunShardedFlat allocates %.1f objects for one sweep over 4 shards, want ≤ 40", one)
-	}
-	if perSweep := (nine - one) / 8; perSweep > 10 {
-		t.Fatalf("RunShardedFlat allocates %.1f objects per additional sweep, want ≤ 10", perSweep)
 	}
 }
 

@@ -1,6 +1,7 @@
 package propagate
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -35,9 +36,6 @@ func referenceRun(g *graph.Graph, X, xref [][]float64, labelled []bool, cfg Conf
 	}
 
 	neigh := g.Neighbors
-	if cfg.Symmetrize {
-		neigh = symmetrized(g)
-	}
 
 	res := Result{Loss: make([]float64, 0, cfg.Iterations+1)}
 	res.Loss = append(res.Loss, referenceLoss(neigh, X, xref, labelled, cfg))
@@ -198,7 +196,6 @@ func TestRunMatchesSeedBitForBit(t *testing.T) {
 		{Mu: 1e-4, Nu: 1e-6, Iterations: 3, Workers: 1},
 		{Mu: 1e-4, Nu: 1e-6, Iterations: 2, Workers: 4},
 		{Mu: 0.5, Nu: 0, Iterations: 4, Workers: 3}, // kappa==0 on isolated unlabelled vertices
-		{Mu: 1e-6, Nu: 1e-4, Iterations: 2, Workers: 2, Symmetrize: true},
 	}
 	for trial := 0; trial < 6; trial++ {
 		g, X, xref, labelled := randomProblem(rng, 40+trial*17, 5)
@@ -265,14 +262,7 @@ func TestRunWorkerCountInvariant(t *testing.T) {
 			base, baseX = res, Xw
 			continue
 		}
-		for j := range res.Loss {
-			if res.Loss[j] != base.Loss[j] {
-				t.Errorf("workers=%d: Loss[%d] = %v, want %v", w, j, res.Loss[j], base.Loss[j])
-			}
-		}
-		if res.MaxDelta != base.MaxDelta {
-			t.Errorf("workers=%d: MaxDelta = %v, want %v", w, res.MaxDelta, base.MaxDelta)
-		}
+		assertSameResult(t, fmt.Sprintf("workers=%d", w), res, base)
 		for v := range Xw {
 			for y := range Xw[v] {
 				if Xw[v][y] != baseX[v][y] {

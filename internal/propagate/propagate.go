@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/analysis/assert"
@@ -43,11 +42,6 @@ type Config struct {
 	// vertices), so a converged run lands within Tolerance·ρ/(1−ρ) of
 	// that fixed point, where ρ < 1 is the contraction modulus μΣw/κ.
 	Tolerance float64
-	// Symmetrize, when true, propagates over the union of in- and
-	// out-edges rather than the directed out-neighbour lists. The paper
-	// uses the directed k-NN graph; symmetrization is provided for
-	// ablation.
-	Symmetrize bool
 	// Workers bounds parallelism (default GOMAXPROCS).
 	Workers int
 	// LossEvery controls how often the Equation-1 objective is evaluated.
@@ -93,18 +87,54 @@ type adjacency struct {
 	w   []float64
 }
 
-// adjacencyOf returns the CSR adjacency to propagate over, honouring
-// cfg.Symmetrize. It never mutates g (so concurrent Runs over a shared
+// adjacencyOf returns the CSR adjacency of the directed k-NN graph to
+// propagate over. It never mutates g (so concurrent Runs over a shared
 // graph stay race-free): graphs built by graph.Build or graph.ReadFrom
 // already carry CSR arrays; hand-assembled graphs get a local flattening.
-func adjacencyOf(g *graph.Graph, n int, symmetrize bool) adjacency {
-	if symmetrize {
-		return csrOfLists(symmetrized(g), n)
-	}
+func adjacencyOf(g *graph.Graph, n int) adjacency {
 	if len(g.EdgeOffsets) == n+1 && int(g.EdgeOffsets[n]) == len(g.EdgeTo) {
 		return adjacency{off: g.EdgeOffsets, to: g.EdgeTo, w: g.EdgeWeight}
 	}
 	return csrOfLists(g.Neighbors, n)
+}
+
+// checkInputs is the argument check Run, RunFlat and RunWarmFlat share,
+// run before anything is mutated. n is the vertex count and xLen the
+// number of belief entries the caller holds: len(X) for the flat entry
+// points, len(X)·NumTags for Run, whose rows are passed too so that
+// every non-nil one is checked for width. Every labelled reference row
+// must be NumTags wide: the row kernels index it without bounds checks
+// of their own, inside worker goroutines where a panic cannot be
+// recovered by the caller.
+//
+//graphner:noalloc only its cold failure paths allocate, each justified inline
+func checkInputs(n, xLen int, rows, xref [][]float64, labelled []bool, cfg Config) error {
+	const Y = corpus.NumTags
+	if xLen != n*Y {
+		return fmt.Errorf("propagate: belief matrix has %d entries, want %d vertices × %d tags", xLen, n, Y) // lint:checked noalloc: cold validation failure path
+	}
+	if len(xref) != n || len(labelled) != n {
+		// lint:checked noalloc: cold validation failure path
+		return fmt.Errorf("propagate: slice lengths (%d,%d) != vertex count %d",
+			len(xref), len(labelled), n)
+	}
+	if cfg.Iterations < 0 {
+		return fmt.Errorf("propagate: negative iterations") // lint:checked noalloc: cold validation failure path
+	}
+	if cfg.Mu < 0 || cfg.Nu < 0 {
+		return fmt.Errorf("propagate: negative hyper-parameter (mu=%g nu=%g)", cfg.Mu, cfg.Nu) // lint:checked noalloc: cold validation failure path
+	}
+	for v, row := range rows {
+		if row != nil && len(row) != Y {
+			return fmt.Errorf("propagate: belief row %d has length %d, want %d tags", v, len(row), Y) // lint:checked noalloc: cold validation failure path
+		}
+	}
+	for v, l := range labelled {
+		if l && len(xref[v]) != Y {
+			return fmt.Errorf("propagate: labelled reference row %d has length %d, want %d tags", v, len(xref[v]), Y) // lint:checked noalloc: cold validation failure path
+		}
+	}
+	return nil
 }
 
 // csrOfLists flattens slice-of-slices adjacency into a CSR view with n
@@ -148,18 +178,11 @@ func csrOfLists(lists [][]graph.Edge, n int) adjacency {
 // caller's rows, so callers holding [][]float64 beliefs are untouched by
 // the flat-layout refactor.
 func Run(g *graph.Graph, X, xref [][]float64, labelled []bool, cfg Config) (Result, error) {
-	n := g.NumVertices()
-	if len(X) != n || len(xref) != n || len(labelled) != n {
-		return Result{}, fmt.Errorf("propagate: slice lengths (%d,%d,%d) != vertex count %d",
-			len(X), len(xref), len(labelled), n)
-	}
-	if cfg.Iterations < 0 {
-		return Result{}, fmt.Errorf("propagate: negative iterations")
-	}
-	if cfg.Mu < 0 || cfg.Nu < 0 {
-		return Result{}, fmt.Errorf("propagate: negative hyper-parameter (mu=%g nu=%g)", cfg.Mu, cfg.Nu)
-	}
 	const Y = corpus.NumTags
+	n := g.NumVertices()
+	if err := checkInputs(n, len(X)*Y, X, xref, labelled, cfg); err != nil {
+		return Result{}, err
+	}
 	uniform := 1.0 / Y
 
 	// Materialize nil rows out of one shared backing array (one
@@ -211,19 +234,8 @@ func Run(g *graph.Graph, X, xref [][]float64, labelled []bool, cfg Config) (Resu
 func RunFlat(g *graph.Graph, X []float64, xref [][]float64, labelled []bool, cfg Config) (Result, error) {
 	const Y = corpus.NumTags
 	n := g.NumVertices()
-	if len(X) != n*Y {
-		return Result{}, fmt.Errorf("propagate: flat matrix length %d != %d vertices × %d tags", len(X), n, Y) // lint:checked noalloc: cold validation failure path
-	}
-	if len(xref) != n || len(labelled) != n {
-		// lint:checked noalloc: cold validation failure path
-		return Result{}, fmt.Errorf("propagate: slice lengths (%d,%d) != vertex count %d",
-			len(xref), len(labelled), n)
-	}
-	if cfg.Iterations < 0 {
-		return Result{}, fmt.Errorf("propagate: negative iterations") // lint:checked noalloc: cold validation failure path
-	}
-	if cfg.Mu < 0 || cfg.Nu < 0 {
-		return Result{}, fmt.Errorf("propagate: negative hyper-parameter (mu=%g nu=%g)", cfg.Mu, cfg.Nu) // lint:checked noalloc: cold validation failure path
+	if err := checkInputs(n, len(X), nil, xref, labelled, cfg); err != nil {
+		return Result{}, err
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -233,7 +245,7 @@ func RunFlat(g *graph.Graph, X []float64, xref [][]float64, labelled []bool, cfg
 	}
 	uniform := 1.0 / Y
 
-	adj := adjacencyOf(g, n, cfg.Symmetrize) // lint:checked noalloc: CSR built once per call, not per sweep; TestSweepAllocGuard measures the sweeps
+	adj := adjacencyOf(g, n) // lint:checked noalloc: CSR built once per call, not per sweep; TestSweepAllocGuard measures the sweeps
 
 	// Debug-build invariants (no-ops otherwise): the adjacency must be a
 	// well-formed CSR, and when the inputs are row-stochastic the Jacobi
@@ -263,7 +275,7 @@ func RunFlat(g *graph.Graph, X []float64, xref [][]float64, labelled []bool, cfg
 	inX := true                            // whether cur aliases the caller's X
 	deltas := make([]float64, cfg.Workers) // lint:checked noalloc: one word per worker, allocated once per call
 
-	// Debug builds version-stamp each sweep: workers assert mid-shard
+	// Debug builds version-stamp each sweep: workers assert mid-block
 	// that no other sweep epoch started or finished underneath them, so
 	// any future caller that overlaps sweeps on shared buffers panics
 	// instead of silently corrupting beliefs. Zero cost otherwise.
@@ -458,10 +470,6 @@ func Loss(g *graph.Graph, X, xref [][]float64, labelled []bool, cfg Config) floa
 	const Y = corpus.NumTags
 	uniform := 1.0 / Y
 	var c float64
-	neigh := g.Neighbors
-	if cfg.Symmetrize {
-		neigh = symmetrized(g)
-	}
 	for v := range X {
 		if X[v] == nil {
 			continue
@@ -472,8 +480,8 @@ func Loss(g *graph.Graph, X, xref [][]float64, labelled []bool, cfg Config) floa
 				c += d * d
 			}
 		}
-		if v < len(neigh) {
-			for _, e := range neigh[v] {
+		if v < len(g.Neighbors) {
+			for _, e := range g.Neighbors[v] {
 				if X[e.To] == nil {
 					continue
 				}
@@ -577,34 +585,4 @@ func lossFlat3(adj adjacency, X []float64, xref [][]float64, labelled []bool, n 
 		c += nu * d * d
 	}
 	return c
-}
-
-// symmetrized returns neighbour lists over the union of in- and out-edges.
-// When both directions exist between two vertices the weights are averaged.
-func symmetrized(g *graph.Graph) [][]graph.Edge {
-	n := g.NumVertices()
-	type key struct{ a, b int32 }
-	seen := make(map[key]float64)
-	for v, es := range g.Neighbors {
-		for _, e := range es {
-			k := key{int32(v), e.To}
-			rk := key{e.To, int32(v)}
-			if w, ok := seen[rk]; ok {
-				seen[rk] = (w + e.Weight) / 2
-				continue
-			}
-			seen[k] = e.Weight
-		}
-	}
-	out := make([][]graph.Edge, n)
-	for k, w := range seen {
-		out[k.a] = append(out[k.a], graph.Edge{To: k.b, Weight: w})
-		out[k.b] = append(out[k.b], graph.Edge{To: k.a, Weight: w})
-	}
-	// Map iteration is randomized; sort for deterministic float summation.
-	for v := range out {
-		es := out[v]
-		sort.Slice(es, func(i, j int) bool { return es[i].To < es[j].To })
-	}
-	return out
 }

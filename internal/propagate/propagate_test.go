@@ -3,6 +3,7 @@ package propagate
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -83,14 +84,14 @@ func TestNilRowsBecomeUniform(t *testing.T) {
 
 func TestLabelledVertexPullsNeighbour(t *testing.T) {
 	// Vertex 0 is labelled with a B-peaked reference; vertex 1 starts
-	// uniform. With mu > 0 over edge 0→1... the directed edge means 0's
-	// update sees 1. Use symmetrize to pull 1 toward 0's reference via
-	// repeated sweeps.
+	// uniform. An update reads only out-neighbours, so the reciprocal
+	// edge 1→0 is what lets repeated sweeps pull 1 toward 0's reference.
 	g := chainGraph(2)
+	g.Neighbors[1] = []graph.Edge{{To: 0, Weight: 1}}
 	X := [][]float64{dist(1.0/3, 1.0/3, 1.0/3), dist(1.0/3, 1.0/3, 1.0/3)}
 	xref := [][]float64{dist(1, 0, 0), nil}
 	lab := []bool{true, false}
-	_, err := Run(g, X, xref, lab, Config{Iterations: 20, Mu: 0.5, Nu: 0.01, Symmetrize: true})
+	_, err := Run(g, X, xref, lab, Config{Iterations: 20, Mu: 0.5, Nu: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +100,154 @@ func TestLabelledVertexPullsNeighbour(t *testing.T) {
 	}
 	if X[1][corpus.B] <= 1.0/3+1e-9 {
 		t.Errorf("neighbour not pulled toward B: %v", X[1])
+	}
+}
+
+// TestRowWidthRejected pins the row-width check of every entry point: a
+// labelled reference row, or one of Run's belief rows, that is not
+// corpus.NumTags wide is refused with an error naming the row, before
+// any belief is written. Without the check the row kernels index past
+// the short row inside a worker goroutine (a panic the caller cannot
+// recover) or leave non-stochastic beliefs behind.
+func TestRowWidthRejected(t *testing.T) {
+	const Y = corpus.NumTags
+	g := chainGraph(3)
+	g.Neighbors[2] = []graph.Edge{{To: 0, Weight: 1}}
+	short := dist(0.5, 0.5)
+	goodRef := [][]float64{nil, dist(1, 0, 0), nil}
+	shortRef := [][]float64{nil, short, nil}
+	lab := []bool{false, true, false}
+	cfg := Config{Iterations: 3, Mu: 0.5, Nu: 0.01, Workers: 2}
+	flat := func() []float64 {
+		X := flatUniform(3)
+		X[0], X[1], X[2] = 0.6, 0.3, 0.1
+		return X
+	}
+
+	cases := []struct {
+		name string
+		want string
+		// run calls one entry point and reports whether its beliefs
+		// still hold what the caller passed in.
+		run func() (untouched bool, err error)
+	}{
+		{"Run/reference row", "reference row 1 has length 2", func() (bool, error) {
+			X := [][]float64{nil, dist(0.6, 0.3, 0.1), nil}
+			_, err := Run(g, X, shortRef, lab, cfg)
+			return X[0] == nil && X[1][0] == 0.6, err
+		}},
+		{"Run/belief row", "belief row 1 has length 2", func() (bool, error) {
+			X := [][]float64{nil, dist(0.5, 0.5), nil}
+			_, err := Run(g, X, goodRef, lab, cfg)
+			return X[0] == nil && X[1][0] == 0.5, err
+		}},
+		{"RunFlat/reference row", "reference row 1 has length 2", func() (bool, error) {
+			X := flat()
+			_, err := RunFlat(g, X, shortRef, lab, cfg)
+			return X[0] == 0.6 && X[Y] == 1.0/3, err
+		}},
+		{"RunWarmFlat/reference row", "reference row 1 has length 2", func() (bool, error) {
+			X := flat()
+			_, err := RunWarmFlat(g, X, shortRef, lab, cfg, []int32{0, 1, 2})
+			return X[0] == 0.6 && X[Y] == 1.0/3, err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			untouched, err := tc.run()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+			if !untouched {
+				t.Error("beliefs were modified before the error was returned")
+			}
+		})
+	}
+}
+
+// nonUniformProblem builds a random propagation problem with non-uniform
+// starting beliefs, so every sweep moves every row and any change to the
+// kernel's arithmetic shows up in the bits.
+func nonUniformProblem(rng *rand.Rand, n, k int) (*graph.Graph, []float64, [][]float64, []bool) {
+	const Y = corpus.NumTags
+	g, X, xref, labelled := warmProblem(rng, n, k)
+	for v := 0; v < n; v++ {
+		a, b := rng.Float64(), rng.Float64()
+		if a > b {
+			a, b = b, a
+		}
+		row := X[v*Y : v*Y+Y]
+		row[0], row[1], row[2] = a, b-a, 1-b
+	}
+	return g, X, xref, labelled
+}
+
+// TestLossEverySchedule pins the LossEvery contract on the flat path: -1
+// records nothing, N records the initial point, every Nth sweep, and the
+// final sweep, and every recorded value matches the legacy every-sweep
+// schedule bit for bit.
+func TestLossEverySchedule(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	g, X0, xref, labelled := nonUniformProblem(rng, 80, 4)
+	base := Config{Mu: 0.2, Nu: 0.05, Iterations: 5, Workers: 2}
+	full := append([]float64(nil), X0...)
+	fullRes, err := RunFlat(g, full, xref, labelled, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fullRes.Loss) != base.Iterations+1 {
+		t.Fatalf("legacy schedule recorded %d losses, want %d", len(fullRes.Loss), base.Iterations+1)
+	}
+
+	never := base
+	never.LossEvery = -1
+	X := append([]float64(nil), X0...)
+	res, err := RunFlat(g, X, xref, labelled, never)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Loss != nil {
+		t.Fatalf("LossEvery=-1 recorded %d losses", len(res.Loss))
+	}
+	for i := range X {
+		if X[i] != full[i] { // lint:checked loss schedule must not change beliefs
+			t.Fatal("LossEvery=-1 changed the propagation result")
+		}
+	}
+
+	periodic := base
+	periodic.LossEvery = 2
+	X = append([]float64(nil), X0...)
+	res, err = RunFlat(g, X, xref, labelled, periodic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Iterations=5, N=2: recorded after sweeps 0, 2, 4, and the final 5th.
+	wantAt := []int{0, 2, 4, 5}
+	if len(res.Loss) != len(wantAt) {
+		t.Fatalf("LossEvery=2 recorded %d losses, want %d", len(res.Loss), len(wantAt))
+	}
+	for i, at := range wantAt {
+		if res.Loss[i] != fullRes.Loss[at] { // lint:checked recorded losses must be bit-exact
+			t.Fatalf("LossEvery=2 loss %d (after sweep %d) is %v, legacy has %v",
+				i, at, res.Loss[i], fullRes.Loss[at])
+		}
+	}
+}
+
+// assertSameResult compares two propagation Results bit for bit.
+func assertSameResult(t *testing.T, tag string, got, want Result) {
+	t.Helper()
+	if got.MaxDelta != want.MaxDelta { // lint:checked equivalence check is exact by design
+		t.Fatalf("%s: MaxDelta %v, want %v", tag, got.MaxDelta, want.MaxDelta)
+	}
+	if len(got.Loss) != len(want.Loss) {
+		t.Fatalf("%s: %d losses, want %d", tag, len(got.Loss), len(want.Loss))
+	}
+	for i := range got.Loss {
+		if got.Loss[i] != want.Loss[i] { // lint:checked equivalence check is exact by design
+			t.Fatalf("%s: loss %d is %v, want %v", tag, i, got.Loss[i], want.Loss[i])
+		}
 	}
 }
 
@@ -256,23 +405,6 @@ func TestLossComponents(t *testing.T) {
 	c = Loss(g, X, xref, lab, Config{Mu: 1})
 	if math.Abs(c-4) > 1e-12 {
 		t.Errorf("loss with mu = %g, want 4", c)
-	}
-}
-
-func TestSymmetrizeAveragesReciprocalEdges(t *testing.T) {
-	g := &graph.Graph{
-		Vertices: []corpus.NGram{"a", "b"},
-		Neighbors: [][]graph.Edge{
-			{{To: 1, Weight: 0.4}},
-			{{To: 0, Weight: 0.8}},
-		},
-	}
-	sym := symmetrized(g)
-	if len(sym[0]) != 1 || len(sym[1]) != 1 {
-		t.Fatalf("sym = %v", sym)
-	}
-	if math.Abs(sym[0][0].Weight-0.6) > 1e-12 || math.Abs(sym[1][0].Weight-0.6) > 1e-12 {
-		t.Errorf("weights not averaged: %v", sym)
 	}
 }
 

@@ -60,14 +60,8 @@ func RunWarmFlat(g *graph.Graph, X []float64, xref [][]float64, labelled []bool,
 	const Y = corpus.NumTags
 	n := g.NumVertices()
 	var res WarmResult
-	if len(X) != n*Y {
-		return res, fmt.Errorf("propagate: flat matrix length %d != %d vertices × %d tags", len(X), n, Y) // lint:checked noalloc: cold validation failure path
-	}
-	if len(xref) != n || len(labelled) != n {
-		return res, fmt.Errorf("propagate: slice lengths (%d,%d) != vertex count %d", len(xref), len(labelled), n) // lint:checked noalloc: cold validation failure path
-	}
-	if cfg.Mu < 0 || cfg.Nu < 0 {
-		return res, fmt.Errorf("propagate: negative hyper-parameter (mu=%g nu=%g)", cfg.Mu, cfg.Nu) // lint:checked noalloc: cold validation failure path
+	if err := checkInputs(n, len(X), nil, xref, labelled, cfg); err != nil {
+		return res, err
 	}
 	for _, v := range dirty {
 		if v < 0 || int(v) >= n {
@@ -89,8 +83,8 @@ func RunWarmFlat(g *graph.Graph, X []float64, xref [][]float64, labelled []bool,
 	}
 	uniform := 1.0 / Y
 
-	adj := adjacencyOf(g, n, cfg.Symmetrize) // lint:checked noalloc: CSR built once per call; the sweep loop below reuses it
-	roff, rto := reverseOf(adj, n)           // lint:checked noalloc: reverse CSR built once per call for frontier expansion
+	adj := adjacencyOf(g, n)       // lint:checked noalloc: CSR built once per call; the sweep loop below reuses it
+	roff, rto := reverseOf(adj, n) // lint:checked noalloc: reverse CSR built once per call for frontier expansion
 	if assert.Enabled {
 		assert.CSRMonotonic(adj.off, len(adj.to), "warm propagate adjacency")
 		assert.CSRMonotonic(roff, len(rto), "warm propagate reverse adjacency")

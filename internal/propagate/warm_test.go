@@ -197,7 +197,7 @@ func TestRunFlatToleranceEarlyStop(t *testing.T) {
 func runWarmReference(g *graph.Graph, X []float64, xref [][]float64, labelled []bool, cfg Config, dirty []int32) WarmResult {
 	const Y = corpus.NumTags
 	n := g.NumVertices()
-	adj := adjacencyOf(g, n, cfg.Symmetrize)
+	adj := adjacencyOf(g, n)
 	roff, rto := reverseOf(adj, n)
 	res := WarmResult{Touched: make([]bool, n)}
 	mark := make([]int32, n)

@@ -58,9 +58,6 @@ make fuzz-smoke
 echo "==> bench smoke"
 make bench-smoke
 
-echo "==> bench shard smoke"
-make bench-shard-smoke
-
 echo "==> bench lsh smoke"
 make bench-lsh-smoke
 
