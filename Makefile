@@ -57,18 +57,21 @@ race:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTokenize -fuzztime=10s ./internal/tokenize
 	$(GO) test -run='^$$' -fuzz=FuzzCompileSentence -fuzztime=10s ./internal/crf
+	$(GO) test -run='^$$' -fuzz=FuzzExtractorMatchesReference -fuzztime=10s ./internal/features
 	$(GO) test -run 'TestPoolLife|TestLockAtCall|TestDeterminism|TestErrDrop|TestDiffRoundTrip' -count=1 ./internal/analysis ./cmd/graphnerlint
 
 # Fast performance-regression gate (<30s): the incremental-maintenance
 # smoke and golden tests, the bit-identity checks of the pair-once k-NN
-# search and the warm-start propagation kernel against their reference
-# implementations, the loss-schedule check of the full-sweep kernel, and
-# the allocation guards on the propagation sweeps and pooled CRF decode
-# paths (testing.AllocsPerRun bounds compiled into the tests themselves).
+# search, the byte feature-counting pass (every feature mode) and the
+# warm-start propagation kernel against their reference implementations,
+# the loss-schedule check of the full-sweep kernel, and the allocation
+# guards on the propagation sweeps, the byte-interning CRF compile and the
+# pooled CRF decode paths (testing.AllocsPerRun bounds compiled into the
+# tests themselves).
 bench-smoke:
-	$(GO) test -run 'TestIncrementalSmoke|TestKNNIncrementalOneBatchGolden|TestPatchCSRMatchesBuildCSR|TestKNNMatchesReference' -count=1 ./internal/graph
+	$(GO) test -run 'TestIncrementalSmoke|TestKNNIncrementalOneBatchGolden|TestPatchCSRMatchesBuildCSR|TestKNNMatchesReference|TestBuildFeatureModesMatchReference' -count=1 ./internal/graph
 	$(GO) test -run 'TestSweepAllocGuard|TestWarmSweepAllocGuard|TestRunWarmFlatMatchesReference|TestLossEverySchedule' -count=1 ./internal/propagate
-	$(GO) test -run 'TestDecodeAllocGuard|TestPosteriorsAllocGuard' -count=1 ./internal/crf
+	$(GO) test -run 'TestDecodeAllocGuard|TestPosteriorsAllocGuard|TestCompileSentenceAllocGuard' -count=1 ./internal/crf
 
 # Linter self-benchmark: cold and warm whole-module graphnerlint runs
 # (wall time, packages analyzed, findings) written to BENCH_lint.json —

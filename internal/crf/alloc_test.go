@@ -4,7 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/corpus"
+	"repro/internal/features"
 	"repro/internal/race"
+	"repro/internal/tokenize"
 )
 
 // TestDecodeAllocGuard locks in the pooled-lattice win: after the pool is
@@ -60,5 +63,38 @@ func TestPosteriorsAllocGuard(t *testing.T) {
 	// n+2 covers the out slice header, n row slices, and the flat backing.
 	if allocs > n+2 {
 		t.Fatalf("pooled Posteriors allocates %.1f objects/op after warm-up, want ≤ %d", allocs, n+2)
+	}
+}
+
+// TestCompileSentenceAllocGuard pins the byte-interning compile path: on a
+// warm, frozen compiler, compiling a 23-token sentence allocates per
+// sentence (the Instance, its id slices, the word slice) and per word with
+// capitals (its lower-case form), never per feature — 8 objects here.
+// Extracting one string per feature, as the compiler once did, costs 926
+// objects for this sentence and fails the guard.
+func TestCompileSentenceAllocGuard(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; counts are only meaningful in normal builds")
+	}
+	train := []string{
+		"Recently the mutation of lymphocyte adaptor protein LNK was detected in MPN patients",
+		"the FLT3 gene in AML patients carries an internal tandem duplication",
+		"p53 regulates SH2 domain binding of the IL-2 receptor alpha chain",
+	}
+	comp := NewCompiler(features.NewExtractor(nil))
+	for _, text := range train {
+		comp.CompileSentence(&corpus.Sentence{Text: text, Tokens: tokenize.Sentence(text)})
+	}
+	comp.FreezeAlphabet()
+	const text = "Mutations of the JAK2 kinase and of LNK were detected in 12 of 40 patients with myeloproliferative neoplasms ( MPN ) ."
+	s := &corpus.Sentence{Text: text, Tokens: tokenize.Sentence(text)}
+	if n := len(s.Tokens); n != 23 {
+		t.Fatalf("sentence has %d tokens, the bound below assumes 23", n)
+	}
+	comp.CompileSentence(s) // warm the scratch pool
+	allocs := testing.AllocsPerRun(200, func() { comp.CompileSentence(s) })
+	t.Logf("CompileSentence: %.0f allocs for %d tokens", allocs, len(s.Tokens))
+	if allocs > 16 {
+		t.Fatalf("frozen CompileSentence allocates %.0f objects for %d tokens, want ≤ 16", allocs, len(s.Tokens))
 	}
 }

@@ -21,11 +21,10 @@ type Compiler struct {
 }
 
 // compileScratch holds the per-worker buffers CompileSentence reuses: the
-// feature-string buffer of one position and the per-position id counts of
-// one sentence.
+// feature visitor and the per-position id counts of one sentence.
 type compileScratch struct {
-	feats []string
-	lens  []int
+	v    features.Visitor
+	lens []int
 }
 
 var compileScratchPool = sync.Pool{New: func() any { return new(compileScratch) }}
@@ -51,15 +50,15 @@ func (c *Compiler) CompileSentence(s *corpus.Sentence) *Instance {
 	}
 	lens := sc.lens[:len(words)]
 	flat := make([]int32, 0, 48*len(words))
+	sc.v.Reset(c.Extractor, words)
 	for i := range words {
-		sc.feats = c.Extractor.AppendPosition(sc.feats[:0], words, i)
 		n := 0
-		for _, f := range sc.feats {
-			if id := c.Alphabet.Lookup(f); id >= 0 {
+		sc.v.Position(i, func(f []byte) {
+			if id := c.Alphabet.LookupBytes(f); id >= 0 {
 				flat = append(flat, int32(id))
 				n++
 			}
-		}
+		})
 		lens[i] = n
 	}
 	// Slice the per-position views only after the flat buffer has stopped

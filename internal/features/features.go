@@ -17,10 +17,10 @@
 package features
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/tokenize"
 )
@@ -103,19 +103,6 @@ func NewExtractor(classer WordClasser) *Extractor {
 	return &Extractor{Classer: classer, WindowSize: 2, CharNGrams: true}
 }
 
-// offsetLabels caches the "%+d" renderings of small window offsets so the
-// window features below are built by string concatenation (one allocation
-// per feature) instead of fmt.Sprintf.
-var offsetLabels = [...]string{"-8", "-7", "-6", "-5", "-4", "-3", "-2", "-1", "+0", "+1", "+2", "+3", "+4", "+5", "+6", "+7", "+8"}
-
-// offsetLabel renders a relative window offset as in fmt.Sprintf("%+d", d).
-func offsetLabel(d int) string {
-	if d >= -8 && d <= 8 {
-		return offsetLabels[d+8]
-	}
-	return fmt.Sprintf("%+d", d)
-}
-
 // Position computes the feature instances for token index i of words.
 // The returned strings are unique per instance kind (prefixed) and stable
 // across calls.
@@ -124,108 +111,255 @@ func (e *Extractor) Position(words []string, i int) []string {
 }
 
 // AppendPosition appends the feature instances for token index i of words
-// to dst and returns the extended slice — the allocation-aware variant of
-// Position for callers that extract features in a loop and can reuse one
-// buffer (compilation, graph construction). The appended strings are
-// identical, in content and order, to Position's.
+// to dst and returns the extended slice: Visitor.Position's features as
+// strings, in the same order. Callers that extract a whole sentence, or
+// only need to look the features up, should use a Visitor directly.
 func (e *Extractor) AppendPosition(dst []string, words []string, i int) []string {
-	w := words[i]
-	window := e.WindowSize
-	if window == 0 {
-		window = 2
-	}
-	feats := dst
-	add := func(f string) { feats = append(feats, f) }
+	var v Visitor
+	v.Reset(e, words)
+	v.Position(i, func(f []byte) { dst = append(dst, string(f)) })
+	return dst
+}
 
-	lower := strings.ToLower(w)
-	add("w=" + lower)
-	add("lemma=" + tokenize.Lemma(w))
-	add("shape=" + tokenize.Shape(w))
-	add("brief=" + tokenize.BriefShape(w))
+// Sentence computes Position for every index. One Visitor serves the
+// whole sentence, so each word is analysed once, not once per window.
+func (e *Extractor) Sentence(words []string) [][]string {
+	out := make([][]string, len(words))
+	var v Visitor
+	v.Reset(e, words)
+	for i := range words {
+		feats := make([]string, 0, 48)
+		v.Position(i, func(f []byte) { feats = append(feats, string(f)) })
+		out[i] = feats
+	}
+	return out
+}
+
+// Visitor extracts the feature instances of one sentence as bytes. It is
+// the one implementation of the feature templates: Position,
+// AppendPosition and Sentence convert its output to strings, and the CRF
+// compiler and the graph builder intern its bytes directly
+// (Alphabet.LookupBytes).
+//
+// Each word is analysed once per sentence, on first use: its lower-case
+// form, runes, lemma, brief shape, orthographic predicates and classer
+// features. A word appears in up to 2·WindowSize+1 positions' features;
+// the analysis is not repeated for each. Every feature is written into
+// one reused byte buffer, so a position costs no allocation per feature.
+//
+// The zero value is ready for Reset. A Visitor is not safe for concurrent
+// use; reuse one across sentences (Reset keeps its buffers).
+type Visitor struct {
+	e      *Extractor
+	window int
+	words  []string
+	info   []wordInfo
+	runes  []rune // runes of every analysed word's lower-case form
+	brief  []byte // brief shape of every analysed word
+	buf    []byte // the feature being emitted
+}
+
+// wordInfo is the per-sentence analysis of one word.
+type wordInfo struct {
+	ready        bool
+	ortho        uint16 // orthoFeatures bits that hold
+	lower, lemma string
+	r0, r1       int32 // Visitor.runes[r0:r1] is []rune(lower)
+	b0, b1       int32 // Visitor.brief[b0:b1] is BriefShape(word)
+	classes      []string
+}
+
+// The orthographic predicates, in emission order: bit k of wordInfo.ortho
+// set means orthoFeatures[k] holds. orthoPunct also emits "punct=<word>".
+const (
+	orthoAllCaps = iota
+	orthoMixedCase
+	orthoAlphanumeric
+	orthoNumber
+	orthoHasDigit
+	orthoPunct
+	orthoGreek
+	orthoSingleUpper
+	orthoRoman
+)
+
+var orthoFeatures = [...]string{"ALLCAPS", "MIXEDCASE", "ALPHANUMERIC", "NUMBER", "HASDIGIT", "PUNCT", "GREEK", "SINGLEUPPER", "ROMAN"}
+
+// Reset binds the visitor to an extractor and a sentence, discarding the
+// analysis of the previous sentence but keeping its buffers.
+func (v *Visitor) Reset(e *Extractor, words []string) {
+	v.e = e
+	v.window = e.WindowSize
+	if v.window == 0 {
+		v.window = 2
+	}
+	v.words = words
+	if cap(v.info) < len(words) {
+		v.info = make([]wordInfo, len(words))
+	} else {
+		v.info = v.info[:len(words)]
+		clear(v.info)
+	}
+	v.runes = v.runes[:0]
+	v.brief = v.brief[:0]
+}
+
+// Position calls fn once for each feature instance of token index i, in a
+// fixed order: word, lemma, shape and brief shape; prefixes and suffixes;
+// orthographic predicates; character n-grams; window words, lemmas and
+// shapes; bigrams; classer features of the word and its neighbours.
+// f aliases the visitor's buffer: it is valid only until fn returns, and
+// fn must not call back into v.
+func (v *Visitor) Position(i int, fn func(f []byte)) {
+	words := v.words
+	w := v.word(i)
+	b := v.buf
+
+	b = append(append(b[:0], "w="...), w.lower...)
+	fn(b)
+	b = append(append(b[:0], "lemma="...), w.lemma...)
+	fn(b)
+	b = tokenize.AppendShape(append(b[:0], "shape="...), words[i])
+	fn(b)
+	b = append(append(b[:0], "brief="...), v.brief[w.b0:w.b1]...)
+	fn(b)
 
 	// Prefixes and suffixes (2..4 characters).
-	r := []rune(lower)
+	r := v.runes[w.r0:w.r1]
 	for n := 2; n <= 4 && n <= len(r); n++ {
-		add("pre" + strconv.Itoa(n) + "=" + string(r[:n]))
-		add("suf" + strconv.Itoa(n) + "=" + string(r[len(r)-n:]))
+		b = appendRunes(append(b[:0], 'p', 'r', 'e', byte('0'+n), '='), r[:n])
+		fn(b)
+		b = appendRunes(append(b[:0], 's', 'u', 'f', byte('0'+n), '='), r[len(r)-n:])
+		fn(b)
 	}
 
 	// Orthographic predicates.
-	feats = appendOrthoPredicates(feats, w)
+	for k, name := range orthoFeatures {
+		if w.ortho&(1<<k) == 0 {
+			continue
+		}
+		b = append(b[:0], name...)
+		fn(b)
+		if k == orthoPunct {
+			b = append(append(b[:0], "punct="...), words[i]...)
+			fn(b)
+		}
+	}
 
 	// Character n-grams (2 and 3) over the lowercased word.
-	if e.CharNGrams {
+	if v.e.CharNGrams {
 		for n := 2; n <= 3; n++ {
 			for j := 0; j+n <= len(r); j++ {
-				add("cg" + strconv.Itoa(n) + "=" + string(r[j:j+n]))
+				b = appendRunes(append(b[:0], 'c', 'g', byte('0'+n), '='), r[j:j+n])
+				fn(b)
 			}
 		}
 	}
 
 	// Window features: surrounding words and lemmas with relative offsets.
-	for d := -window; d <= window; d++ {
+	for d := -v.window; d <= v.window; d++ {
 		if d == 0 {
 			continue
 		}
 		j := i + d
-		var wj string
-		if j < 0 {
-			wj = "<s>"
-		} else if j >= len(words) {
-			wj = "</s>"
-		} else {
-			wj = strings.ToLower(words[j])
+		b = append(appendOffset(append(b[:0], 'w'), d), '=')
+		switch {
+		case j < 0:
+			b = append(b, "<s>"...)
+		case j >= len(words):
+			b = append(b, "</s>"...)
+		default:
+			b = append(b, v.word(j).lower...)
 		}
-		off := offsetLabel(d)
-		add("w" + off + "=" + wj)
+		fn(b)
 		if j >= 0 && j < len(words) {
-			add("lem" + off + "=" + tokenize.Lemma(words[j]))
-			add("shape" + off + "=" + tokenize.BriefShape(words[j]))
+			wj := v.word(j)
+			b = append(append(appendOffset(append(b[:0], "lem"...), d), '='), wj.lemma...)
+			fn(b)
+			b = append(append(appendOffset(append(b[:0], "shape"...), d), '='), v.brief[wj.b0:wj.b1]...)
+			fn(b)
 		}
 	}
 
 	// Adjacent-word bigrams.
 	if i > 0 {
-		add("bg-1=" + strings.ToLower(words[i-1]) + "_" + lower)
+		b = append(append(append(append(b[:0], "bg-1="...), v.word(i-1).lower...), '_'), w.lower...)
+		fn(b)
 	}
 	if i+1 < len(words) {
-		add("bg+1=" + lower + "_" + strings.ToLower(words[i+1]))
+		b = append(append(append(append(b[:0], "bg+1="...), w.lower...), '_'), v.word(i+1).lower...)
+		fn(b)
 	}
 
 	// Distributional word classes for the token and its neighbours.
-	if e.Classer != nil {
-		for _, c := range e.Classer.Classes(w) {
-			add(c)
+	if v.e.Classer != nil {
+		for _, c := range w.classes {
+			b = append(b[:0], c...)
+			fn(b)
 		}
 		if i > 0 {
-			for _, c := range e.Classer.Classes(words[i-1]) {
-				add(c + "@-1")
+			for _, c := range v.word(i - 1).classes {
+				b = append(append(b[:0], c...), "@-1"...)
+				fn(b)
 			}
 		}
 		if i+1 < len(words) {
-			for _, c := range e.Classer.Classes(words[i+1]) {
-				add(c + "@+1")
+			for _, c := range v.word(i + 1).classes {
+				b = append(append(b[:0], c...), "@+1"...)
+				fn(b)
 			}
 		}
 	}
-	return feats
+	v.buf = b[:0]
 }
 
-// Sentence computes Position for every index, reusing tokenization work.
-func (e *Extractor) Sentence(words []string) [][]string {
-	out := make([][]string, len(words))
-	for i := range words {
-		out[i] = e.Position(words, i)
+// word returns the analysis of words[j], computing it on first use.
+func (v *Visitor) word(j int) *wordInfo {
+	w := &v.info[j]
+	if w.ready {
+		return w
 	}
-	return out
+	word := v.words[j]
+	w.ready = true
+	w.lower = strings.ToLower(word)
+	w.lemma = tokenize.LemmaLower(w.lower)
+	w.r0 = int32(len(v.runes))
+	for _, r := range w.lower {
+		v.runes = append(v.runes, r)
+	}
+	w.r1 = int32(len(v.runes))
+	w.b0 = int32(len(v.brief))
+	v.brief = tokenize.AppendBriefShape(v.brief, word)
+	w.b1 = int32(len(v.brief))
+	w.ortho = orthoPredicates(word, w.lower)
+	if v.e.Classer != nil {
+		w.classes = v.e.Classer.Classes(word)
+	}
+	return w
 }
 
-// appendOrthoPredicates appends the boolean orthographic features that
-// hold for w.
-func appendOrthoPredicates(out []string, w string) []string {
+// appendRunes appends the UTF-8 encoding of r, as string(r) would.
+func appendRunes(b []byte, r []rune) []byte {
+	for _, c := range r {
+		b = utf8.AppendRune(b, c)
+	}
+	return b
+}
+
+// appendOffset appends a relative window offset as fmt's "%+d" renders it.
+func appendOffset(b []byte, d int) []byte {
+	if d >= 0 {
+		b = append(b, '+')
+	}
+	return strconv.AppendInt(b, int64(d), 10)
+}
+
+// orthoPredicates returns the orthoFeatures bits that hold for w, whose
+// lower-case form is lower.
+func orthoPredicates(w, lower string) uint16 {
 	var (
-		hasUpper, hasLower, hasDigit, hasPunct, hasGreek bool
-		allUpper, allDigit                               = true, true
+		hasUpper, hasLower, hasDigit, hasPunct bool
+		allUpper, allDigit                     = true, true
 	)
 	for _, r := range w {
 		switch {
@@ -243,37 +377,22 @@ func appendOrthoPredicates(out []string, w string) []string {
 			allUpper, allDigit = false, false
 		}
 	}
-	if isGreekName(w) {
-		hasGreek = true
+	var m uint16
+	set := func(k int, ok bool) {
+		if ok {
+			m |= 1 << k
+		}
 	}
-	if hasUpper && allUpper && len(w) > 1 {
-		out = append(out, "ALLCAPS")
-	}
-	if hasUpper && hasLower {
-		out = append(out, "MIXEDCASE")
-	}
-	if hasUpper && hasDigit {
-		out = append(out, "ALPHANUMERIC")
-	}
-	if allDigit && len(w) > 0 {
-		out = append(out, "NUMBER")
-	}
-	if hasDigit && !allDigit {
-		out = append(out, "HASDIGIT")
-	}
-	if hasPunct && len(w) == 1 {
-		out = append(out, "PUNCT", "punct="+w)
-	}
-	if hasGreek {
-		out = append(out, "GREEK")
-	}
-	if len([]rune(w)) == 1 && hasUpper {
-		out = append(out, "SINGLEUPPER")
-	}
-	if romanNumeral(w) {
-		out = append(out, "ROMAN")
-	}
-	return out
+	set(orthoAllCaps, hasUpper && allUpper && len(w) > 1)
+	set(orthoMixedCase, hasUpper && hasLower)
+	set(orthoAlphanumeric, hasUpper && hasDigit)
+	set(orthoNumber, allDigit && len(w) > 0)
+	set(orthoHasDigit, hasDigit && !allDigit)
+	set(orthoPunct, hasPunct && len(w) == 1)
+	set(orthoGreek, greekNames[lower])
+	set(orthoSingleUpper, hasUpper && utf8.RuneCountInString(w) == 1)
+	set(orthoRoman, romanNumeral(w))
+	return m
 }
 
 var greekNames = map[string]bool{
@@ -281,8 +400,6 @@ var greekNames = map[string]bool{
 	"epsilon": true, "zeta": true, "eta": true, "theta": true,
 	"kappa": true, "lambda": true, "sigma": true, "omega": true,
 }
-
-func isGreekName(w string) bool { return greekNames[strings.ToLower(w)] }
 
 func romanNumeral(w string) bool {
 	if w == "" {
@@ -321,6 +438,24 @@ func (a *Alphabet) Lookup(s string) int {
 	if a.frozen {
 		return -1
 	}
+	return a.insert(s)
+}
+
+// LookupBytes is Lookup for a feature held in a byte slice. A hit does not
+// allocate (the map index converts b without copying); only inserting a
+// new feature into an unfrozen alphabet copies b into a string.
+func (a *Alphabet) LookupBytes(b []byte) int {
+	if id, ok := a.index[string(b)]; ok {
+		return id
+	}
+	if a.frozen {
+		return -1
+	}
+	return a.insert(string(b))
+}
+
+// insert adds s, which must be absent, and returns its new id.
+func (a *Alphabet) insert(s string) int {
 	id := len(a.names)
 	a.index[s] = id
 	a.names = append(a.names, s)

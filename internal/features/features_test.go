@@ -60,7 +60,7 @@ func TestOrthoPredicates(t *testing.T) {
 		{"X", []string{"SINGLEUPPER", "ROMAN"}, []string{"ALLCAPS"}},
 	}
 	for _, c := range cases {
-		got := appendOrthoPredicates(nil, c.word)
+		got := NewExtractor(nil).Position([]string{c.word}, 0)
 		for _, w := range c.want {
 			if !contains(got, w) {
 				t.Errorf("%q: missing %q in %v", c.word, w, got)
@@ -190,7 +190,9 @@ func TestDeterminism(t *testing.T) {
 func TestAlphabet(t *testing.T) {
 	a := NewAlphabet()
 	x := a.Lookup("x")
-	y := a.Lookup("y")
+	yb := []byte("y")
+	y := a.LookupBytes(yb)
+	yb[0] = 'q' // the alphabet must own a copy of an inserted feature
 	if x == y {
 		t.Error("distinct strings share an id")
 	}
@@ -209,6 +211,12 @@ func TestAlphabet(t *testing.T) {
 	}
 	if got := a.Lookup("z"); got != -1 {
 		t.Errorf("frozen lookup of unknown = %d, want -1", got)
+	}
+	if got := a.LookupBytes([]byte("z")); got != -1 {
+		t.Errorf("frozen LookupBytes of unknown = %d, want -1", got)
+	}
+	if a.LookupBytes([]byte("y")) != y {
+		t.Error("frozen LookupBytes of known string broken")
 	}
 	if a.Lookup("x") != x {
 		t.Error("frozen lookup of known string broken")

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/corpus"
@@ -208,33 +209,66 @@ func vertexVectors(corp *corpus.Corpus, cfg BuilderConfig) ([]sparseVec, []corpu
 	return vecs, verts, counts, vertTotal, st
 }
 
-// featureEnumerator returns the per-position feature-string enumeration of
-// the configured mode. Build's counting pass and the incremental Updater
-// share it so both observe identical feature strings in identical order.
-// The returned closure reuses an internal buffer and is not safe for
-// concurrent use.
-func featureEnumerator(cfg BuilderConfig, miKeep map[string]bool) func(words []string, i int, fn func(string)) {
-	if cfg.Mode == LexicalFeatures {
-		return func(words []string, i int, fn func(string)) {
-			for d := -2; d <= 2; d++ {
-				j := i + d
-				if j < 0 || j >= len(words) {
-					continue
-				}
-				fn(fmt.Sprintf("lem%+d=%s", d, tokenize.Lemma(words[j])))
-			}
-		}
+// featureEnum enumerates the per-position feature instances of the
+// configured mode as bytes. Build's counting pass and the incremental
+// Updater share it, so both observe identical features in identical
+// order: reset binds a sentence, then position visits one position. The
+// bytes passed to fn are valid only until fn returns. A featureEnum is not
+// safe for concurrent use.
+type featureEnum struct {
+	ex      *features.Extractor
+	lexical bool
+	miKeep  map[string]bool
+	v       features.Visitor
+	lemmas  []string
+	buf     []byte
+}
+
+func newFeatureEnum(cfg BuilderConfig, miKeep map[string]bool) *featureEnum {
+	return &featureEnum{ex: cfg.Extractor, lexical: cfg.Mode == LexicalFeatures, miKeep: miKeep}
+}
+
+// reset binds the enumerator to the sentence words.
+func (fe *featureEnum) reset(words []string) {
+	if !fe.lexical {
+		fe.v.Reset(fe.ex, words)
+		return
 	}
-	featBuf := make([]string, 0, 64)
-	return func(words []string, i int, fn func(string)) {
-		featBuf = cfg.Extractor.AppendPosition(featBuf[:0], words, i)
-		for _, f := range featBuf {
-			if miKeep != nil && !miKeep[f] {
+	fe.lemmas = fe.lemmas[:0]
+	for _, w := range words {
+		fe.lemmas = append(fe.lemmas, tokenize.Lemma(w))
+	}
+}
+
+// position calls fn for each feature of token index i: in LexicalFeatures
+// mode "lem%+d=<lemma>" for the words of the 5-word window around i,
+// otherwise the extractor's features (those in miKeep, when set).
+func (fe *featureEnum) position(i int, fn func(f []byte)) {
+	if fe.lexical {
+		for d := -2; d <= 2; d++ {
+			j := i + d
+			if j < 0 || j >= len(fe.lemmas) {
 				continue
 			}
+			b := append(fe.buf[:0], "lem"...)
+			if d >= 0 {
+				b = append(b, '+')
+			}
+			b = append(append(strconv.AppendInt(b, int64(d), 10), '='), fe.lemmas[j]...)
+			fn(b)
+			fe.buf = b
+		}
+		return
+	}
+	if fe.miKeep == nil {
+		fe.v.Position(i, fn)
+		return
+	}
+	fe.v.Position(i, func(f []byte) {
+		if fe.miKeep[string(f)] {
 			fn(f)
 		}
-	}
+	})
 }
 
 // countFeatures runs the co-occurrence counting pass. With cfg.Stats nil it
@@ -256,9 +290,9 @@ func countFeatures(corp *corpus.Corpus, cfg BuilderConfig, index map[corpus.NGra
 			st.miKeep = miSelect(corp, cfg)
 		}
 	}
-	enum := featureEnumerator(cfg, st.miKeep)
-	addFeat := func(vi int, f string) {
-		id := st.alphabet.Lookup(f)
+	enum := newFeatureEnum(cfg, st.miKeep)
+	addFeat := func(vi int, f []byte) {
+		id := st.alphabet.LookupBytes(f)
 		if id < 0 {
 			return // outside the frozen feature space
 		}
@@ -274,9 +308,10 @@ func countFeatures(corp *corpus.Corpus, cfg BuilderConfig, index map[corpus.NGra
 	}
 	for _, s := range corp.Sentences {
 		words := s.Words()
+		enum.reset(words)
 		for i := range words {
 			vi := index[corpus.Trigram(words, i)]
-			enum(words, i, func(f string) { addFeat(vi, f) })
+			enum.position(i, func(f []byte) { addFeat(vi, f) })
 		}
 	}
 	if fresh {
@@ -337,10 +372,11 @@ func miSelect(corp *corpus.Corpus, cfg BuilderConfig) map[string]bool {
 	featTag := make(map[string]*[corpus.NumTags]float64, 8*nTok)
 	var tagCount [corpus.NumTags]float64
 	var n float64
-	featBuf := make([]string, 0, 64)
+	var v features.Visitor
 	for si, s := range corp.Sentences {
 		words := s.Words()
 		tags := cfg.Tags[si]
+		v.Reset(cfg.Extractor, words)
 		for i := range words {
 			if i >= len(tags) {
 				break
@@ -348,15 +384,14 @@ func miSelect(corp *corpus.Corpus, cfg BuilderConfig) map[string]bool {
 			t := tags[i]
 			tagCount[t]++
 			n++
-			featBuf = cfg.Extractor.AppendPosition(featBuf[:0], words, i)
-			for _, f := range featBuf {
-				c := featTag[f]
+			v.Position(i, func(f []byte) {
+				c := featTag[string(f)]
 				if c == nil {
 					c = new([corpus.NumTags]float64)
-					featTag[f] = c
+					featTag[string(f)] = c
 				}
 				c[t]++
-			}
+			})
 		}
 	}
 	keep := make(map[string]bool, 128)

@@ -62,7 +62,7 @@ type Updater struct {
 	sorted []int32
 	rank   []int32
 
-	enum func(words []string, i int, fn func(string))
+	enum *featureEnum
 }
 
 // knnReserve is the number of ranked candidates each Updater row keeps
@@ -169,7 +169,7 @@ func NewUpdater(base *corpus.Corpus, cfg BuilderConfig) (*Updater, error) {
 		vecs:      vecs,
 		rows:      rows,
 		complete:  complete,
-		enum:      featureEnumerator(cfg, st.miKeep),
+		enum:      newFeatureEnum(cfg, st.miKeep),
 	}
 	// Per-feature postings over the frozen feature space, ascending
 	// vertex id (base vertices are appended in id order).
@@ -220,6 +220,7 @@ func (u *Updater) AddSentences(sents []*corpus.Sentence) (UpdateResult, error) {
 	changed := make([]int32, 0, 64)
 	for _, s := range sents {
 		words := s.Words()
+		u.enum.reset(words)
 		for i := range words {
 			ng := corpus.Trigram(words, i)
 			vi, ok := g.Index[ng]
@@ -240,8 +241,8 @@ func (u *Updater) AddSentences(sents []*corpus.Sentence) (UpdateResult, error) {
 				changed = append(changed, int32(vi))
 			}
 			v := vi
-			u.enum(words, i, func(f string) {
-				id := u.st.alphabet.Lookup(f)
+			u.enum.position(i, func(f []byte) {
+				id := u.st.alphabet.LookupBytes(f)
 				if id < 0 {
 					return // outside the frozen feature space
 				}
@@ -777,7 +778,7 @@ func (u *Updater) Clone() *Updater {
 		postings:  make([][]posting, len(u.postings)),
 		sorted:    append([]int32(nil), u.sorted...),
 		rank:      append([]int32(nil), u.rank...),
-		enum:      featureEnumerator(u.cfg, u.st.miKeep),
+		enum:      newFeatureEnum(u.cfg, u.st.miKeep),
 	}
 	for i, m := range u.counts {
 		cm := make(map[int32]float64, len(m))

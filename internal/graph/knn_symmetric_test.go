@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/corpus/synth"
 	"repro/internal/features"
 )
@@ -133,15 +134,31 @@ func TestKNNMatchesReference(t *testing.T) {
 	assertRowsIdentical(t, "bc2gm-600 Build", g.Neighbors, knnReference(vecs, cfg))
 }
 
-// knnBenchVecs returns the PPMI vertex vectors of a 1,200-sentence BC2GM
-// corpus (seed 3), the size the repository benchmark's pipeline builds.
-func knnBenchVecs(b *testing.B) []sparseVec {
-	b.Helper()
+// knnBenchCorpus is a 1,200-sentence BC2GM corpus (seed 3), the size the
+// repository benchmark's pipeline builds.
+func knnBenchCorpus() *corpus.Corpus {
 	scfg := synth.DefaultConfig(synth.BC2GM, 3)
 	scfg.Sentences = 1200
-	c := synth.NewGenerator(scfg).Generate()
-	vecs, _, _, _, _ := vertexVectors(c, BuilderConfig{Extractor: features.NewExtractor(nil)})
+	return synth.NewGenerator(scfg).Generate()
+}
+
+// knnBenchVecs returns the PPMI vertex vectors of knnBenchCorpus.
+func knnBenchVecs(b *testing.B) []sparseVec {
+	b.Helper()
+	vecs, _, _, _, _ := vertexVectors(knnBenchCorpus(), BuilderConfig{Extractor: features.NewExtractor(nil)})
 	return vecs
+}
+
+// BenchmarkVertexVectors times graph.Build's serial pass before the k-NN
+// search: feature extraction and counting per 3-gram, then the PPMI
+// transform, on the corpus BenchmarkKNN's vectors come from.
+func BenchmarkVertexVectors(b *testing.B) {
+	c := knnBenchCorpus()
+	cfg := BuilderConfig{Extractor: features.NewExtractor(nil)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		vertexVectors(c, cfg)
+	}
 }
 
 // BenchmarkKNN compares the per-query reference kernel with the pair-once

@@ -88,7 +88,8 @@ type Config struct {
 	// comparable to a sweep itself. 0 (the default) keeps the legacy
 	// every-sweep schedule; -1 skips the loss entirely (the serving
 	// default — see Freeze); N > 0 evaluates every Nth sweep plus the
-	// final one.
+	// final one. Streaming mode (Streamer) never reports the loss and
+	// always skips it.
 	LossEvery int
 
 	// TransitionPower tempers the transition log-probabilities in the

@@ -210,7 +210,11 @@ func (st *Streamer) AddUnlabelled(batch *corpus.Corpus) (StreamResult, error) {
 }
 
 // propConfig is the converged-propagation configuration streaming mode
-// uses for both the initial full run and warm restarts.
+// uses for both the initial full run and warm restarts. It skips the
+// Equation-1 loss: NewStreamer discards RunFlat's Result and RunWarmFlat
+// never evaluates it, and the loss is diagnostic (no control flow reads
+// it), so the legacy every-sweep schedule would cost one full edge pass
+// per sweep for nothing, with beliefs bit-identical either way.
 func (st *Streamer) propConfig() propagate.Config {
 	return propagate.Config{
 		Mu:         st.sys.cfg.Mu,
@@ -218,7 +222,7 @@ func (st *Streamer) propConfig() propagate.Config {
 		Tolerance:  streamTolerance,
 		Iterations: streamSweepCap,
 		Workers:    st.sys.cfg.Workers,
-		LossEvery:  st.sys.cfg.LossEvery,
+		LossEvery:  -1,
 	}
 }
 

@@ -13,6 +13,7 @@ package tokenize
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Token is a single unit of a tokenized sentence.
@@ -132,44 +133,57 @@ func Detokenize(tokens []Token) string {
 // Shape maps a token to its word shape, the canonical orthographic pattern
 // used as a CRF feature: uppercase letters become 'A', lowercase 'a',
 // digits '0', and everything else is preserved. Runs are not collapsed.
-func Shape(s string) string {
-	var b strings.Builder
+func Shape(s string) string { return string(AppendShape(nil, s)) }
+
+// AppendShape appends Shape(s) to dst and returns the extended slice.
+func AppendShape(dst []byte, s string) []byte {
 	for _, r := range s {
-		switch {
-		case unicode.IsUpper(r):
-			b.WriteByte('A')
-		case unicode.IsLower(r):
-			b.WriteByte('a')
-		case unicode.IsDigit(r):
-			b.WriteByte('0')
-		default:
-			b.WriteRune(r)
-		}
+		dst = utf8.AppendRune(dst, shapeClass(r))
 	}
-	return b.String()
+	return dst
 }
 
 // BriefShape is Shape with consecutive identical classes collapsed to a
 // single character ("Abeta42" -> "Aa0").
-func BriefShape(s string) string {
-	full := Shape(s)
-	var b strings.Builder
+func BriefShape(s string) string { return string(AppendBriefShape(nil, s)) }
+
+// AppendBriefShape appends BriefShape(s) to dst and returns the extended
+// slice.
+func AppendBriefShape(dst []byte, s string) []byte {
 	var prev rune = -1
-	for _, r := range full {
-		if r != prev {
-			b.WriteRune(r)
-			prev = r
+	for _, r := range s {
+		if c := shapeClass(r); c != prev {
+			dst = utf8.AppendRune(dst, c)
+			prev = c
 		}
 	}
-	return b.String()
+	return dst
+}
+
+// shapeClass is the Shape character of one rune. An invalid UTF-8 byte
+// arrives as utf8.RuneError and is kept, so it renders as U+FFFD.
+func shapeClass(r rune) rune {
+	switch {
+	case unicode.IsUpper(r):
+		return 'A'
+	case unicode.IsLower(r):
+		return 'a'
+	case unicode.IsDigit(r):
+		return '0'
+	}
+	return r
 }
 
 // Lemma returns a crude lemmatized form of a word: lowercased, with common
 // English inflectional suffixes stripped. It approximates the lemmatizer
 // BANNER uses for its lexical window features; graph construction in the
 // paper's "Lexical-features" mode is built on lemmas of a 5-word window.
-func Lemma(s string) string {
-	w := strings.ToLower(s)
+func Lemma(s string) string { return LemmaLower(strings.ToLower(s)) }
+
+// LemmaLower is Lemma for a word already lower-cased by strings.ToLower:
+// Lemma(s) == LemmaLower(strings.ToLower(s)). Callers that hold the
+// lower-case form use it to skip a second case mapping.
+func LemmaLower(w string) string {
 	switch {
 	case len(w) > 5 && strings.HasSuffix(w, "ies"):
 		return w[:len(w)-3] + "y"
