@@ -64,14 +64,15 @@ fuzz-smoke:
 # smoke and golden tests, the bit-identity checks of the pair-once k-NN
 # search, the byte feature-counting pass (every feature mode) and the
 # warm-start propagation kernel against their reference implementations,
-# the loss-schedule check of the full-sweep kernel, and the allocation
-# guards on the propagation sweeps, the byte-interning CRF compile and the
-# pooled CRF decode paths (testing.AllocsPerRun bounds compiled into the
-# tests themselves).
+# the loss-schedule check of the full-sweep kernel, the scaled CRF training
+# kernel against its log-space reference and L-BFGS against its allocating
+# reference loop, and the allocation guards on the propagation sweeps, the
+# byte-interning CRF compile, the pooled CRF decode paths and the training
+# kernel (testing.AllocsPerRun bounds compiled into the tests themselves).
 bench-smoke:
 	$(GO) test -run 'TestIncrementalSmoke|TestKNNIncrementalOneBatchGolden|TestPatchCSRMatchesBuildCSR|TestKNNMatchesReference|TestBuildFeatureModesMatchReference' -count=1 ./internal/graph
 	$(GO) test -run 'TestSweepAllocGuard|TestWarmSweepAllocGuard|TestRunWarmFlatMatchesReference|TestLossEverySchedule' -count=1 ./internal/propagate
-	$(GO) test -run 'TestDecodeAllocGuard|TestPosteriorsAllocGuard|TestCompileSentenceAllocGuard' -count=1 ./internal/crf
+	$(GO) test -run 'TestDecodeAllocGuard|TestPosteriorsAllocGuard|TestCompileSentenceAllocGuard|TestSentenceGradientAllocGuard|TestSentenceGradientMatchesReference|TestLBFGSMatchesReference' -count=1 ./internal/crf
 
 # Linter self-benchmark: cold and warm whole-module graphnerlint runs
 # (wall time, packages analyzed, findings) written to BENCH_lint.json —

@@ -50,6 +50,13 @@ func (tr *Trainer) Train(data []*Instance, numFeatures int) (*Model, error) {
 		if len(in.Tags) != len(in.Features) {
 			return nil, fmt.Errorf("crf: instance %d has %d tags for %d positions", i, len(in.Tags), len(in.Features))
 		}
+		for j, feats := range in.Features {
+			for _, f := range feats {
+				if int(f) >= numFeatures {
+					return nil, fmt.Errorf("crf: instance %d position %d has feature id %d, but the alphabet holds %d features", i, j, f, numFeatures)
+				}
+			}
+		}
 	}
 	S := numStates(order)
 	l2 := tr.L2
@@ -106,6 +113,10 @@ type objective struct {
 	workers int
 
 	gradBufs [][]float64 // per-worker dense gradient buffers, reused
+	// expT and expStart hold exp of the transition and start weights of
+	// the point being evaluated, with forbidden entries exactly 0; the
+	// workers share them read-only.
+	expT, expStart []float64
 }
 
 // view maps a parameter vector to a Model sharing its memory.
@@ -132,6 +143,7 @@ func (o *objective) Eval(x, grad []float64) float64 {
 			b[i] = 0
 		}
 	}
+	o.potentials(&m)
 
 	nlls := make([]float64, o.workers)
 	var wg sync.WaitGroup
@@ -142,7 +154,7 @@ func (o *objective) Eval(x, grad []float64) float64 {
 			gm := o.view(o.gradBufs[w]) // gradient views share layout with x
 			var nll float64
 			for i := w; i < len(o.data); i += o.workers {
-				nll += sentenceGradient(&m, o.data[i], gm.W, gm.T, gm.Start)
+				nll += sentenceGradient(&m, o.expT, o.expStart, o.data[i], gm.W, gm.T, gm.Start)
 			}
 			nlls[w] = nll
 		}(w)
@@ -169,82 +181,188 @@ func (o *objective) Eval(x, grad []float64) float64 {
 	return f
 }
 
+// potentials fills o.expT and o.expStart from m's transition and start
+// weights: exp of each permitted weight, exactly 0 where the chain or the
+// BIO constraint forbids it. A weight above ~709 overflows to +Inf, which
+// the kernel's normaliser check turns into an +Inf objective.
+func (o *objective) potentials(m *Model) {
+	S := m.S
+	if o.expT == nil {
+		o.expT = make([]float64, S*S)
+		o.expStart = make([]float64, S)
+	}
+	for p := 0; p < S; p++ {
+		for c := 0; c < S; c++ {
+			o.expT[p*S+c] = 0
+			if m.transitionOK(p, c) {
+				o.expT[p*S+c] = math.Exp(m.T[p*S+c]) // lint:checked overflow to +Inf is caught by sentenceGradient's normaliser check
+			}
+		}
+	}
+	for s := 0; s < S; s++ {
+		o.expStart[s] = 0
+		if m.startOK(s) {
+			o.expStart[s] = math.Exp(m.Start[s]) // lint:checked overflow to +Inf is caught by sentenceGradient's normaliser check
+		}
+	}
+}
+
 // sentenceGradient accumulates ∂NLL/∂θ for one sentence into the provided
 // gradient views and returns the sentence NLL = logZ − score(gold path).
-func sentenceGradient(m *Model, in *Instance, gW, gT, gStart []float64) float64 {
+//
+// It runs a scaled (Rabiner-style) forward–backward in probability space.
+// expT and expStart are the exponentiated transition and start weights
+// (objective.potentials); per position i the emission scores are shifted
+// by their maximum mᵢ before exponentiation, so the only transcendental
+// calls are S exps and one log per position. Each forward row is
+// normalised by its sum cᵢ, the backward recursion divides by the same
+// cᵢ, and logZ = Σᵢ (log cᵢ + mᵢ). The node marginal is then α̂ᵢ[s]·β̂ᵢ[s]
+// and the edge marginal α̂ᵢ₋₁[p]·expT[p,c]·potᵢ[c]·β̂ᵢ[c]/cᵢ; the
+// empirical counts are folded into the same pass, so each active
+// feature's gradient row is touched once per position.
+//
+// A normaliser that is 0 or not finite (or a backward row that overflows)
+// can only come from extreme trial weights: the kernel then returns +Inf
+// without touching the gradient, and the line search rejects the step.
+//
+//graphner:noalloc warm calls reuse the pooled lattices; TestSentenceGradientAllocGuard measures it
+//graphner:nonblocking
+func sentenceGradient(m *Model, expT, expStart []float64, in *Instance, gW, gT, gStart []float64) float64 {
 	n := in.Len()
 	if n == 0 {
 		return 0
 	}
-	sc := acquireScratch(n, m.S)
-	emit := sc.mat(0, n, m.S)
-	alpha := sc.mat(1, n, m.S)
-	beta := sc.mat(2, n, m.S)
-	buf, nodeMarg := sc.bufs(n, m.S)
-	m.latticeInto(in, emit)
-	logZ := m.forwardBackwardInto(emit, alpha, beta, buf)
 	S := m.S
+	sc := acquireScratch(n, S)
+	defer sc.release()
+	pot := sc.mat(0, n, S)
+	alpha := sc.mat(1, n, S)
+	beta := sc.mat(2, n, S)
+	marg, _ := sc.bufs(n, S)
+	m.latticeInto(in, pot)
+
+	// The gold path's score reads the emission scores before they are
+	// exponentiated in place.
+	goldScore := 0.0
+	prev := -1
 	for i := 0; i < n; i++ {
-		for s := 0; s < S; s++ {
-			lp := alpha[i][s] + beta[i][s] - logZ
-			if math.IsInf(lp, -1) {
-				nodeMarg[s] = 0
-			} else {
-				nodeMarg[s] = math.Exp(lp)
-			}
-		}
-		for _, fid := range in.Features[i] {
-			if fid < 0 {
-				continue
-			}
-			base := int(fid) * S
-			for s := 0; s < S; s++ {
-				gW[base+s] += nodeMarg[s]
-			}
-		}
+		s := m.stateFor(tagBefore(in, i), in.Tags[i])
 		if i == 0 {
-			for s := 0; s < S; s++ {
-				gStart[s] += nodeMarg[s]
+			goldScore += m.Start[s]
+		} else {
+			goldScore += m.T[prev*S+s]
+		}
+		goldScore += pot[i][s]
+		prev = s
+	}
+
+	logZ := 0.0
+	for _, row := range pot {
+		mx := row[0]
+		for _, v := range row[1:] {
+			if v > mx {
+				mx = v
+			}
+		}
+		for s, v := range row {
+			row[s] = math.Exp(v - mx) // lint:checked v ≤ mx, so the argument is ≤ 0 and the result lies in [0, 1]
+		}
+		logZ += mx
+	}
+
+	// Forward: α̂ᵢ[c] = potᵢ[c]·Σₚ α̂ᵢ₋₁[p]·expT[p,c], normalised by its
+	// row sum cᵢ. Row i of pot is divided by cᵢ too, the form in which the
+	// backward pass and the edge marginals use it.
+	for i, a := range alpha {
+		if i == 0 {
+			for s := range a {
+				a[s] = expStart[s] * pot[0][s]
 			}
 		} else {
-			for prev := 0; prev < S; prev++ {
-				if math.IsInf(alpha[i-1][prev], -1) {
-					continue
-				}
-				for cur := 0; cur < S; cur++ {
-					if !m.transitionOK(prev, cur) || math.IsInf(beta[i][cur], -1) {
-						continue
-					}
-					lp := alpha[i-1][prev] + m.T[prev*S+cur] + emit[i][cur] + beta[i][cur] - logZ
-					if !math.IsInf(lp, -1) {
-						gT[prev*S+cur] += math.Exp(lp)
-					}
+			clear(a)
+			for p, ap := range alpha[i-1] {
+				tp := expT[p*S : (p+1)*S : (p+1)*S]
+				for c := range a {
+					a[c] += ap * tp[c]
 				}
 			}
+			for c, v := range pot[i] {
+				a[c] *= v
+			}
+		}
+		c := 0.0
+		for _, v := range a {
+			c += v
+		}
+		if !(c > 0 && c <= math.MaxFloat64) {
+			return math.Inf(1)
+		}
+		inv := 1 / c
+		for s := range a {
+			a[s] *= inv
+			pot[i][s] *= inv
+		}
+		logZ += math.Log(c)
+	}
+
+	// Backward: β̂ᵢ[p] = Σ_c expT[p,c]·potᵢ₊₁[c]·β̂ᵢ₊₁[c]/cᵢ₊₁. Row i+1 of
+	// pot is multiplied by β̂ᵢ₊₁ in place, the factor the edge marginals
+	// into position i+1 need.
+	for s := range beta[n-1] {
+		beta[n-1][s] = 1
+	}
+	for i := n - 2; i >= 0; i-- {
+		next := pot[i+1]
+		for c := range next {
+			next[c] *= beta[i+1][c]
+		}
+		sum := 0.0
+		for p := range beta[i] {
+			tp := expT[p*S : (p+1)*S : (p+1)*S]
+			b := 0.0
+			for c, v := range next {
+				b += tp[c] * v
+			}
+			beta[i][p] = b
+			sum += b
+		}
+		if !(sum <= math.MaxFloat64) {
+			return math.Inf(1)
 		}
 	}
 
-	// Empirical counts (subtract).
-	goldScore := 0.0
-	prevState := -1
+	// Gradient: expected minus empirical counts, one pass per position.
+	prev = -1
 	for i := 0; i < n; i++ {
-		s := m.stateFor(tagBefore(in, i), in.Tags[i])
+		gold := m.stateFor(tagBefore(in, i), in.Tags[i])
+		for s := range marg {
+			marg[s] = alpha[i][s] * beta[i][s]
+		}
+		marg[gold]--
 		for _, fid := range in.Features[i] {
 			if fid < 0 {
 				continue
 			}
-			gW[int(fid)*S+s]--
+			row := gW[int(fid)*S : int(fid)*S+S : int(fid)*S+S]
+			for s, v := range marg {
+				row[s] += v
+			}
 		}
 		if i == 0 {
-			gStart[s]--
-			goldScore += m.Start[s]
+			for s, v := range marg {
+				gStart[s] += v
+			}
 		} else {
-			gT[prevState*S+s]--
-			goldScore += m.T[prevState*S+s]
+			for p, ap := range alpha[i-1] {
+				tp := expT[p*S : (p+1)*S : (p+1)*S]
+				row := gT[p*S : (p+1)*S : (p+1)*S]
+				for c, v := range pot[i] {
+					row[c] += ap * tp[c] * v
+				}
+			}
+			gT[prev*S+gold]--
 		}
-		goldScore += emit[i][s]
-		prevState = s
+		prev = gold
 	}
-	sc.release()
 	return logZ - goldScore
 }

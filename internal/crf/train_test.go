@@ -1,14 +1,396 @@
 package crf
 
 import (
+	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/corpus/synth"
 	"repro/internal/features"
+	"repro/internal/race"
 	"repro/internal/tokenize"
 )
+
+// referenceSentenceGradient is the log-space training kernel that
+// sentenceGradient replaced, kept verbatim: forward–backward in log space
+// (forwardBackwardInto, the kernel inference still uses), one exp per node
+// and per permitted edge marginal, and a second pass for the empirical
+// counts. TestSentenceGradientMatchesReference compares the scaled kernel
+// against it.
+func referenceSentenceGradient(m *Model, in *Instance, gW, gT, gStart []float64) float64 {
+	n := in.Len()
+	if n == 0 {
+		return 0
+	}
+	sc := acquireScratch(n, m.S)
+	emit := sc.mat(0, n, m.S)
+	alpha := sc.mat(1, n, m.S)
+	beta := sc.mat(2, n, m.S)
+	buf, nodeMarg := sc.bufs(n, m.S)
+	m.latticeInto(in, emit)
+	logZ := m.forwardBackwardInto(emit, alpha, beta, buf)
+	S := m.S
+	for i := 0; i < n; i++ {
+		for s := 0; s < S; s++ {
+			lp := alpha[i][s] + beta[i][s] - logZ
+			if math.IsInf(lp, -1) {
+				nodeMarg[s] = 0
+			} else {
+				nodeMarg[s] = math.Exp(lp)
+			}
+		}
+		for _, fid := range in.Features[i] {
+			if fid < 0 {
+				continue
+			}
+			base := int(fid) * S
+			for s := 0; s < S; s++ {
+				gW[base+s] += nodeMarg[s]
+			}
+		}
+		if i == 0 {
+			for s := 0; s < S; s++ {
+				gStart[s] += nodeMarg[s]
+			}
+		} else {
+			for prev := 0; prev < S; prev++ {
+				if math.IsInf(alpha[i-1][prev], -1) {
+					continue
+				}
+				for cur := 0; cur < S; cur++ {
+					if !m.transitionOK(prev, cur) || math.IsInf(beta[i][cur], -1) {
+						continue
+					}
+					lp := alpha[i-1][prev] + m.T[prev*S+cur] + emit[i][cur] + beta[i][cur] - logZ
+					if !math.IsInf(lp, -1) {
+						gT[prev*S+cur] += math.Exp(lp)
+					}
+				}
+			}
+		}
+	}
+
+	// Empirical counts (subtract).
+	goldScore := 0.0
+	prevState := -1
+	for i := 0; i < n; i++ {
+		s := m.stateFor(tagBefore(in, i), in.Tags[i])
+		for _, fid := range in.Features[i] {
+			if fid < 0 {
+				continue
+			}
+			gW[int(fid)*S+s]--
+		}
+		if i == 0 {
+			gStart[s]--
+			goldScore += m.Start[s]
+		} else {
+			gT[prevState*S+s]--
+			goldScore += m.T[prevState*S+s]
+		}
+		goldScore += emit[i][s]
+		prevState = s
+	}
+	sc.release()
+	return logZ - goldScore
+}
+
+// kernelGradient runs the production kernel for one instance on m, with
+// the potentials objective.Eval would compute, into gradient views over g.
+func kernelGradient(m *Model, in *Instance, g []float64) float64 {
+	o := &objective{tmpl: Model{Order: m.Order, NumFeatures: m.NumFeatures, S: m.S, BIO: m.BIO}}
+	o.potentials(m)
+	gm := o.view(g)
+	return sentenceGradient(m, o.expT, o.expStart, in, gm.W, gm.T, gm.Start)
+}
+
+// numParams is the length of m's parameter vector (objective.view's
+// layout).
+func numParams(m *Model) int { return len(m.W) + len(m.T) + len(m.Start) }
+
+// gradientCase is one instance and model drawn for the kernel comparisons:
+// both orders, BIO on and off, weights scaled to σ, and roughly a quarter
+// of the positions carrying an unknown (−1) feature id.
+type gradientCase struct {
+	name string
+	m    *Model
+	in   *Instance
+}
+
+func gradientCases(rng *rand.Rand, sigmas []float64, lengths []int) []gradientCase {
+	const nf = 40
+	var out []gradientCase
+	for _, order := range []Order{Order1, Order2} {
+		for _, bio := range []bool{true, false} {
+			for _, sigma := range sigmas {
+				m := randomModel(rng, order, nf, bio)
+				for _, w := range [][]float64{m.W, m.T, m.Start} {
+					for i := range w {
+						w[i] *= sigma
+					}
+				}
+				for _, n := range lengths {
+					in := randomInstance(rng, n, nf, true)
+					for _, feats := range in.Features {
+						if rng.Intn(4) == 0 {
+							feats[0] = -1
+						}
+					}
+					name := fmt.Sprintf("order %d bio %v σ %g n %d", order, bio, sigma, n)
+					out = append(out, gradientCase{name, m, in})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestSentenceGradientMatchesReference pins the scaled probability-space
+// kernel to the log-space reference over both orders, BIO on and off,
+// lengths 1–60 with unknown feature ids, and weights drawn with σ up to 5.
+// The NLL agrees to 1e-12·(1+|ref|). A gradient coordinate may differ by
+// that plus the reference's own rounding: each of its terms is exp of a
+// difference of log values as large as |logZ|, so it carries a relative
+// error of about ε·|logZ|, and a coordinate sums up to ~n of them.
+// TestSentenceGradientMatchesExact shows the scaled kernel is the more
+// accurate of the two.
+func TestSentenceGradientMatchesReference(t *testing.T) {
+	lengths := make([]int, 60)
+	for i := range lengths {
+		lengths[i] = i + 1
+	}
+	for _, tc := range gradientCases(rand.New(rand.NewSource(59)), []float64{0.1, 1, 2.5, 5}, lengths) {
+		m, in := tc.m, tc.in
+		want := make([]float64, numParams(m))
+		wm := (&objective{tmpl: *m}).view(want)
+		ref := referenceSentenceGradient(m, in, wm.W, wm.T, wm.Start)
+		got := make([]float64, len(want))
+		nll := kernelGradient(m, in, got)
+		if math.Abs(nll-ref) > 1e-12*(1+math.Abs(ref)) {
+			t.Fatalf("%s: NLL %.17g, reference %.17g", tc.name, nll, ref)
+		}
+		_, _, logZ := m.forwardBackward(m.lattice(in))
+		rounding := 4 * 0x1p-52 * math.Abs(logZ) * float64(in.Len())
+		for k := range want {
+			if math.Abs(got[k]-want[k]) > 1e-12*(1+math.Abs(want[k]))+rounding {
+				t.Fatalf("%s: grad[%d] = %.17g, reference %.17g", tc.name, k, got[k], want[k])
+			}
+		}
+	}
+}
+
+// TestSentenceGradientMatchesExact compares the kernel's NLL and gradient
+// with the same quantities computed in 256-bit big.Float arithmetic,
+// unscaled, to 1e-12·(1+|exact|).
+func TestSentenceGradientMatchesExact(t *testing.T) {
+	for _, tc := range gradientCases(rand.New(rand.NewSource(71)), []float64{1, 5}, []int{1, 2, 7, 25, 60}) {
+		m, in := tc.m, tc.in
+		exact := make([]float64, numParams(m))
+		exactNLL := exactSentenceGradient(m, in, exact)
+		got := make([]float64, len(exact))
+		nll := kernelGradient(m, in, got)
+		if math.Abs(nll-exactNLL) > 1e-12*(1+math.Abs(exactNLL)) {
+			t.Fatalf("%s: NLL %.17g, exact %.17g", tc.name, nll, exactNLL)
+		}
+		for k := range exact {
+			if math.Abs(got[k]-exact[k]) > 1e-12*(1+math.Abs(exact[k])) {
+				t.Fatalf("%s: grad[%d] = %.17g, exact %.17g", tc.name, k, got[k], exact[k])
+			}
+		}
+	}
+}
+
+const exactPrec = 256
+
+func newExact() *big.Float { return new(big.Float).SetPrec(exactPrec) }
+
+// exactExp returns e^x to exactPrec bits: a Taylor series on x/2^k with
+// |x/2^k| ≤ 1/2, squared k times.
+func exactExp(x float64) *big.Float {
+	k := 0
+	for math.Abs(math.Ldexp(x, -k)) > 0.5 {
+		k++
+	}
+	r := newExact().SetFloat64(math.Ldexp(x, -k))
+	sum, term := newExact().SetInt64(1), newExact().SetInt64(1)
+	for i := int64(1); i < 60; i++ {
+		term.Mul(term, r)
+		term.Quo(term, newExact().SetInt64(i))
+		sum.Add(sum, term)
+	}
+	for ; k > 0; k-- {
+		sum.Mul(sum, sum)
+	}
+	return sum
+}
+
+// exactSentenceGradient writes ∂NLL/∂θ for one instance into g (laid out as
+// objective.view) and returns the NLL, from unscaled probability-space
+// forward–backward in big.Float arithmetic.
+func exactSentenceGradient(m *Model, in *Instance, g []float64) float64 {
+	n, S := in.Len(), m.S
+	emit := m.lattice(in)
+	grid := func() [][]*big.Float {
+		out := make([][]*big.Float, n)
+		for i := range out {
+			out[i] = make([]*big.Float, S)
+			for s := range out[i] {
+				out[i][s] = newExact()
+			}
+		}
+		return out
+	}
+	pot, alpha, beta := grid(), grid(), grid()
+	for i := range pot {
+		for s := range pot[i] {
+			pot[i][s] = exactExp(emit[i][s])
+		}
+	}
+	expT := make([]*big.Float, S*S)
+	for p := 0; p < S; p++ {
+		for c := 0; c < S; c++ {
+			expT[p*S+c] = newExact()
+			if m.transitionOK(p, c) {
+				expT[p*S+c] = exactExp(m.T[p*S+c])
+			}
+		}
+	}
+	for s := 0; s < S; s++ {
+		if m.startOK(s) {
+			alpha[0][s].Mul(exactExp(m.Start[s]), pot[0][s])
+		}
+	}
+	for i := 1; i < n; i++ {
+		for c := 0; c < S; c++ {
+			for p := 0; p < S; p++ {
+				alpha[i][c].Add(alpha[i][c], newExact().Mul(alpha[i-1][p], expT[p*S+c]))
+			}
+			alpha[i][c].Mul(alpha[i][c], pot[i][c])
+		}
+	}
+	for s := 0; s < S; s++ {
+		beta[n-1][s].SetInt64(1)
+	}
+	for i := n - 2; i >= 0; i-- {
+		for p := 0; p < S; p++ {
+			for c := 0; c < S; c++ {
+				v := newExact().Mul(expT[p*S+c], pot[i+1][c])
+				beta[i][p].Add(beta[i][p], v.Mul(v, beta[i+1][c]))
+			}
+		}
+	}
+	z := newExact()
+	for _, a := range alpha[n-1] {
+		z.Add(z, a)
+	}
+	acc := make([]*big.Float, len(g))
+	for k := range acc {
+		acc[k] = newExact()
+	}
+	nW := m.NumFeatures * S
+	prev := -1
+	for i := 0; i < n; i++ {
+		gold := m.stateFor(tagBefore(in, i), in.Tags[i])
+		for s := 0; s < S; s++ {
+			marg := newExact().Mul(alpha[i][s], beta[i][s])
+			marg.Quo(marg, z)
+			if s == gold {
+				marg.Sub(marg, newExact().SetInt64(1))
+			}
+			for _, f := range in.Features[i] {
+				if f >= 0 {
+					acc[int(f)*S+s].Add(acc[int(f)*S+s], marg)
+				}
+			}
+			if i == 0 {
+				acc[nW+S*S+s].Add(acc[nW+S*S+s], marg)
+			}
+		}
+		if i > 0 {
+			for p := 0; p < S; p++ {
+				for c := 0; c < S; c++ {
+					e := newExact().Mul(alpha[i-1][p], expT[p*S+c])
+					e.Mul(e, pot[i][c])
+					e.Mul(e, beta[i][c])
+					acc[nW+p*S+c].Add(acc[nW+p*S+c], e.Quo(e, z))
+				}
+			}
+			acc[nW+prev*S+gold].Sub(acc[nW+prev*S+gold], newExact().SetInt64(1))
+		}
+		prev = gold
+	}
+	for k := range g {
+		g[k], _ = acc[k].Float64()
+	}
+	mant := newExact()
+	e := z.MantExp(mant)
+	mf, _ := mant.Float64()
+	logZ := math.Log(mf) + float64(e)*math.Ln2
+	return logZ - m.pathScore(in, emit)
+}
+
+// TestSentenceGradientDegenerate: transition weights that make every
+// transition underflow (−800) or overflow (+800) give an +Inf NLL and
+// leave the gradient untouched — no NaN, no panic.
+func TestSentenceGradientDegenerate(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, order := range []Order{Order1, Order2} {
+		for _, tw := range []float64{-800, 800} {
+			m := randomModel(rng, order, 10, true)
+			for i := range m.T {
+				m.T[i] = tw
+			}
+			in := randomInstance(rng, 6, 10, true)
+			g := make([]float64, numParams(m))
+			for i := range g {
+				g[i] = 0.25
+			}
+			if nll := kernelGradient(m, in, g); !math.IsInf(nll, 1) {
+				t.Errorf("order %d, T = %g: NLL %g, want +Inf", order, tw, nll)
+			}
+			for i, v := range g {
+				if v != 0.25 {
+					t.Fatalf("order %d, T = %g: grad[%d] = %g, want it untouched", order, tw, i, v)
+				}
+			}
+		}
+	}
+}
+
+// TestSentenceGradientAllocGuard pins the training kernel's contract:
+// after the lattice pool is warm, a call allocates nothing.
+func TestSentenceGradientAllocGuard(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; counts are only meaningful in normal builds")
+	}
+	rng := rand.New(rand.NewSource(67))
+	const nf = 30
+	for _, order := range []Order{Order1, Order2} {
+		m := randomModel(rng, order, nf, true)
+		o := &objective{tmpl: Model{Order: order, NumFeatures: nf, S: m.S, BIO: true}}
+		o.potentials(m)
+		g := o.view(make([]float64, numParams(m)))
+		ins := make([]*Instance, 8)
+		for i := range ins {
+			ins[i] = randomInstance(rng, 4+i*5, nf, true)
+		}
+		for _, in := range ins {
+			sentenceGradient(m, o.expT, o.expStart, in, g.W, g.T, g.Start)
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			sentenceGradient(m, o.expT, o.expStart, ins[i%len(ins)], g.W, g.T, g.Start)
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("order %d: warm sentenceGradient allocates %.1f objects/op, want 0", order, allocs)
+		}
+	}
+}
 
 func TestGradientFiniteDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -149,6 +531,15 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := tr.Train([]*Instance{bad}, 5); err == nil {
 		t.Error("want error for tag/feature length mismatch")
 	}
+	ok := &Instance{Features: [][]int32{{0}}, Tags: []corpus.Tag{corpus.O}}
+	outOfRange := &Instance{Features: [][]int32{{0, -1}, {4, 5}}, Tags: []corpus.Tag{corpus.O, corpus.B}}
+	_, err := tr.Train([]*Instance{ok, outOfRange}, 5)
+	if err == nil {
+		t.Fatal("want error for a feature id outside the alphabet")
+	}
+	if want := "crf: instance 1 position 1 has feature id 5, but the alphabet holds 5 features"; err.Error() != want {
+		t.Errorf("error %q, want %q", err, want)
+	}
 }
 
 func TestCompilerFreezing(t *testing.T) {
@@ -170,5 +561,69 @@ func TestCompilerFreezing(t *testing.T) {
 				t.Error("out-of-range feature id after freeze")
 			}
 		}
+	}
+}
+
+// benchData compiles the training three quarters of a 1,200-sentence BC2GM
+// corpus (seed 3): the 900-sentence split the repository benchmark's
+// pipeline workload trains on.
+var benchData = sync.OnceValues(func() ([]*Instance, int) {
+	cfg := synth.DefaultConfig(synth.BC2GM, 3)
+	cfg.Sentences = 1200
+	train, _ := synth.GenerateSplit(cfg)
+	comp := NewCompiler(features.NewExtractor(nil))
+	data := comp.Compile(train)
+	return data, comp.FreezeAlphabet()
+})
+
+var benchOrderName = map[Order]string{Order1: "Order1", Order2: "Order2"}
+
+// BenchmarkSentenceGradient times one objective evaluation (NLL and
+// gradient over every sentence) on the 900-sentence split, at weights
+// drawn with σ = 0.5.
+func BenchmarkSentenceGradient(b *testing.B) {
+	data, nf := benchData()
+	for _, order := range []Order{Order1, Order2} {
+		b.Run(benchOrderName[order], func(b *testing.B) {
+			S := numStates(order)
+			obj := &objective{
+				data:    data,
+				tmpl:    Model{Order: order, NumFeatures: nf, S: S, BIO: true},
+				l2:      1,
+				workers: 2,
+			}
+			rng := rand.New(rand.NewSource(3))
+			x := make([]float64, nf*S+S*S+S)
+			for i := range x {
+				x[i] = 0.5 * rng.NormFloat64()
+			}
+			grad := make([]float64, len(x))
+			obj.Eval(x, grad)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				obj.Eval(x, grad)
+			}
+		})
+	}
+}
+
+// BenchmarkTrain times 40 L-BFGS iterations on the 900-sentence split, as
+// the repository benchmark's pipeline workload trains. Both benchmarks
+// use two gradient workers.
+func BenchmarkTrain(b *testing.B) {
+	data, nf := benchData()
+	for _, order := range []Order{Order1, Order2} {
+		b.Run(benchOrderName[order], func(b *testing.B) {
+			tr := NewTrainer(order)
+			tr.MaxIterations = 40
+			tr.Workers = 2
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := tr.Train(data, nf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

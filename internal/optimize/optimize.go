@@ -71,6 +71,19 @@ func LBFGS(obj Objective, x []float64, opts LBFGSOptions) (float64, error) {
 	yHist := make([][]float64, 0, m) // g_{k+1} - g_k
 	rhoHist := make([]float64, 0, m)
 
+	// free holds the n-vectors of correction pairs that were evicted,
+	// rejected or reset, for the next pair to reuse: the history costs at
+	// most 2m+2 vectors however many iterations run.
+	var free [][]float64
+	vec := func() []float64 {
+		if k := len(free); k > 0 {
+			v := free[k-1]
+			free = free[:k-1]
+			return v
+		}
+		return make([]float64, n)
+	}
+
 	dir := make([]float64, n)
 	xNew := make([]float64, n)
 	gradNew := make([]float64, n)
@@ -105,6 +118,7 @@ func LBFGS(obj Objective, x []float64, opts LBFGSOptions) (float64, error) {
 			copy(dir, grad)
 			neg(dir)
 			dg = -dot(grad, grad)
+			free = append(append(free, sHist...), yHist...)
 			sHist, yHist, rhoHist = sHist[:0], yHist[:0], rhoHist[:0]
 		}
 
@@ -133,15 +147,16 @@ func LBFGS(obj Objective, x []float64, opts LBFGSOptions) (float64, error) {
 			return f, ErrLineSearch
 		}
 
-		// Update correction history.
-		s := make([]float64, n)
-		y := make([]float64, n)
+		// Update correction history. The oldest pair's buffers, when the
+		// history is full, or a rejected pair's go back to free.
+		s, y := vec(), vec()
 		for i := range x {
 			s[i] = xNew[i] - x[i]
 			y[i] = gradNew[i] - grad[i]
 		}
 		if sy := dot(s, y); sy > 1e-12 {
 			if len(sHist) == m {
+				free = append(free, sHist[0], yHist[0])
 				sHist = sHist[1:]
 				yHist = yHist[1:]
 				rhoHist = rhoHist[1:]
@@ -149,6 +164,8 @@ func LBFGS(obj Objective, x []float64, opts LBFGSOptions) (float64, error) {
 			sHist = append(sHist, s)
 			yHist = append(yHist, y)
 			rhoHist = append(rhoHist, 1/sy)
+		} else {
+			free = append(free, s, y)
 		}
 
 		rel := math.Abs(f-fNew) / math.Max(math.Abs(f), 1)
