@@ -62,16 +62,20 @@ fuzz-smoke:
 
 # Fast performance-regression gate (<30s): the incremental-maintenance
 # smoke and golden tests, the bit-identity checks of the pair-once k-NN
-# search, the byte feature-counting pass (every feature mode) and the
-# warm-start propagation kernel against their reference implementations,
-# the loss-schedule check of the full-sweep kernel, the scaled CRF training
-# kernel against its log-space reference and L-BFGS against its allocating
-# reference loop, and the allocation guards on the propagation sweeps, the
-# byte-interning CRF compile, the pooled CRF decode paths and the training
-# kernel (testing.AllocsPerRun bounds compiled into the tests themselves).
+# search and the byte feature-counting pass (every feature mode) against
+# their reference implementations, the loss-schedule check of the
+# propagation kernel, the streaming contracts (the streamer's initial pass
+# equals System.Test, every fold equals a from-scratch fixed-sweep run and
+# a full re-decode, and batch schedules agree bit for bit), the scaled CRF
+# training kernel against its log-space reference and L-BFGS against its
+# allocating reference loop, and the allocation guards on the propagation
+# sweeps, the byte-interning CRF compile, the pooled CRF decode paths and
+# the training kernel (testing.AllocsPerRun bounds compiled into the tests
+# themselves).
 bench-smoke:
 	$(GO) test -run 'TestIncrementalSmoke|TestKNNIncrementalOneBatchGolden|TestPatchCSRMatchesBuildCSR|TestKNNMatchesReference|TestBuildFeatureModesMatchReference' -count=1 ./internal/graph
-	$(GO) test -run 'TestSweepAllocGuard|TestWarmSweepAllocGuard|TestRunWarmFlatMatchesReference|TestLossEverySchedule' -count=1 ./internal/propagate
+	$(GO) test -run 'TestSweepAllocGuard|TestLossEverySchedule' -count=1 ./internal/propagate
+	$(GO) test -run 'TestStreamerInitialMatchesTest|TestStreamerFoldMatchesFromScratch|TestStreamerBatchOrderInvariance' -count=1 ./internal/graphner
 	$(GO) test -run 'TestDecodeAllocGuard|TestPosteriorsAllocGuard|TestCompileSentenceAllocGuard|TestSentenceGradientAllocGuard|TestSentenceGradientMatchesReference|TestLBFGSMatchesReference' -count=1 ./internal/crf
 
 # Linter self-benchmark: cold and warm whole-module graphnerlint runs

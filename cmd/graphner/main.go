@@ -178,7 +178,7 @@ func cmdRun(args []string) error {
 	k := fs.Int("k", 10, "graph out-degree")
 	applyLSH := lshFlags(fs)
 	reps := fs.Int("sigf", 10000, "sigf repetitions (0 disables)")
-	incremental := fs.Bool("incremental", false, "run TEST in streaming mode: fold extra unlabelled batches into the maintained graph with warm-start propagation")
+	incremental := fs.Bool("incremental", false, "run TEST in streaming mode: fold extra unlabelled batches into the maintained graph and re-run fixed-sweep propagation after each")
 	streamPool := fs.Int("stream-pool", 150, "with -incremental: total extra unlabelled sentences to stream in")
 	streamBatch := fs.Int("stream-batch", 50, "with -incremental: sentences per streamed batch")
 	if err := fs.Parse(args); err != nil {
@@ -239,7 +239,7 @@ func cmdRun(args []string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("batch %d-%d: %v — %d new / %d updated vertices, %d dirty rows (%d repaired, %d re-scanned), %d warm sweeps (%d row updates), %d test sentences re-decoded\n",
+			fmt.Printf("batch %d-%d: %v — %d new / %d updated vertices, %d dirty rows (%d repaired, %d re-scanned), %d sweeps (%d row updates), %d test sentences re-decoded\n",
 				start, end-1, time.Since(t0).Round(time.Millisecond),
 				res.Update.NewVertices, res.Update.UpdatedVertices,
 				len(res.Update.DirtyRows), res.Update.RepairedRows, res.Update.RescannedRows,

@@ -87,8 +87,7 @@ type UpdateResult struct {
 	UpdatedVertices int
 	// DirtyRows lists, in ascending id order, every vertex whose
 	// neighbour row changed or was recomputed: changed/new vertices,
-	// re-scanned rows, and repaired rows. Propagation warm-starts seed
-	// their worklist from it.
+	// re-scanned rows, and repaired rows.
 	DirtyRows []int32
 	// RescannedRows counts pre-existing unchanged vertices whose rows had
 	// to be re-searched from the postings; RepairedRows counts rows fixed

@@ -2,7 +2,7 @@ package graphner
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 
 	"repro/internal/analysis/assert"
@@ -12,23 +12,18 @@ import (
 	"repro/internal/propagate"
 )
 
-// Streaming-mode propagation runs to a fixed point rather than the
-// paper's fixed 2-3 sweeps: warm starts are only within the documented
-// tolerance of a full run when both start from converged beliefs.
-const (
-	streamTolerance = 1e-8
-	streamSweepCap  = 2048
-)
-
 // Streamer runs Algorithm 1's TEST procedure in streaming mode: after an
 // initial transductive pass over train ∪ test, additional unlabelled
 // batches are folded in with incremental graph maintenance
-// (graph.Updater) and warm-start frontier propagation
-// (propagate.RunWarmFlat), and only the test sentences whose vertices
-// actually moved are re-decoded. The maintained graph is exactly the
-// graph a from-scratch build over the accumulated union would produce
-// (see graph.Updater); beliefs are within the warm-start tolerance of a
-// fully converged from-scratch propagation.
+// (graph.Updater), every fold re-runs the paper's fixed-sweep
+// propagation from the accumulated posterior seeds, and only the test
+// sentences containing a vertex whose beliefs changed are re-decoded.
+// The maintained graph is exactly the graph a from-scratch build over
+// the accumulated union would produce (see graph.Updater), and the
+// beliefs and tags are bit-identical to System.Test's over that graph:
+// the initial pass equals System.Test on train ∪ test, and each fold
+// equals a from-scratch propagation seeded with AveragePosteriors over
+// every corpus folded so far.
 type Streamer struct {
 	sys  *System
 	test *corpus.Corpus
@@ -53,6 +48,11 @@ type Streamer struct {
 	testPost  [][][]float64
 	vertSents [][]int32
 
+	// Per-fold scratch that grows with the graph: the beliefs before the
+	// fold and the rows whose bits the fold changed.
+	prev    []float64
+	touched []bool
+
 	tags     [][]corpus.Tag
 	baseline [][]corpus.Tag
 }
@@ -61,16 +61,32 @@ type Streamer struct {
 type StreamResult struct {
 	// Update summarizes the incremental graph maintenance.
 	Update graph.UpdateResult
-	// Warm summarizes the warm-start propagation.
-	Warm propagate.WarmResult
+	// Warm summarizes the fold's propagation. The name predates
+	// fixed-sweep folds; renaming it waits for a change to the
+	// repository benchmark, which reads it.
+	Warm FoldPropagation
 	// Redecoded counts test sentences whose labels were recomputed
-	// because a vertex they contain moved.
+	// because a vertex they contain changed its beliefs.
 	Redecoded int
 }
 
+// FoldPropagation reports what one fold's propagation did.
+type FoldPropagation struct {
+	// Sweeps is the number of sweeps run (Config.Iterations).
+	Sweeps int
+	// Updates counts row updates: Sweeps × the vertex count.
+	Updates int
+	// Converged is true when the last sweep moved no belief.
+	Converged bool
+	// Touched[v] is true when vertex v was appended by the fold or its
+	// belief bits changed. It is indexed like the graph's vertices and is
+	// reused by the next fold.
+	Touched []bool
+}
+
 // NewStreamer runs the initial TEST pass — graph build over train ∪ test,
-// posterior seeding, propagation to convergence, final decode — and
-// retains the incremental-maintenance state for AddUnlabelled calls.
+// posterior seeding, fixed-sweep propagation, final decode — and retains
+// the incremental-maintenance state for AddUnlabelled calls.
 func NewStreamer(sys *System, test *corpus.Corpus) (*Streamer, error) {
 	if len(test.Sentences) == 0 {
 		return nil, fmt.Errorf("graphner: empty test corpus")
@@ -142,8 +158,9 @@ func NewStreamer(sys *System, test *corpus.Corpus) (*Streamer, error) {
 
 // AddUnlabelled folds a batch of unlabelled sentences into the streaming
 // state: CRF posteriors for the batch, incremental graph maintenance,
-// warm-start propagation seeded from the dirty rows, and re-decoding of
-// exactly the test sentences containing a touched vertex.
+// re-seeding every belief row from the accumulated posteriors, the
+// paper's fixed-sweep propagation, and re-decoding of exactly the test
+// sentences containing a vertex whose beliefs changed.
 func (st *Streamer) AddUnlabelled(batch *corpus.Corpus) (StreamResult, error) {
 	var res StreamResult
 	if len(batch.Sentences) == 0 {
@@ -164,44 +181,68 @@ func (st *Streamer) AddUnlabelled(batch *corpus.Corpus) (StreamResult, error) {
 	n := g.NumVertices()
 	const Y = corpus.NumTags
 
-	// Grow the flat state for appended vertices and seed their rows.
+	// Grow the flat state for appended vertices, keep the pre-fold
+	// beliefs, and re-seed every row: a fold is Algorithm 1's TEST step
+	// over the maintained graph, from the averages over every corpus
+	// seen so far.
 	st.postSum = append(st.postSum, make([]float64, (n-oldN)*Y)...)
 	st.postCnt = append(st.postCnt, make([]float64, n-oldN)...)
+	st.prev = append(st.prev[:0], st.X...)
 	st.X = append(st.X, make([]float64, (n-oldN)*Y)...)
 	st.xref = append(st.xref, make([][]float64, n-oldN)...)
 	st.labelled = append(st.labelled, make([]bool, n-oldN)...)
 	st.vertSents = append(st.vertSents, make([][]int32, n-oldN)...)
 	st.accumulate(stripped, posteriors, 0)
-	for v := oldN; v < n; v++ {
+	for v := 0; v < n; v++ {
 		st.seedRow(v)
 	}
 	if assert.Enabled {
 		assert.NoNaN(st.X, "streaming beliefs after seeding")
 	}
 
-	warm, err := propagate.RunWarmFlat(g, st.X, st.xref, st.labelled, st.propConfig(), upd.DirtyRows)
+	cfg := st.propConfig()
+	prop, err := propagate.RunFlat(g, st.X, st.xref, st.labelled, cfg)
 	if err != nil {
-		return res, fmt.Errorf("graphner: warm propagation: %w", err)
+		return res, fmt.Errorf("graphner: propagation: %w", err)
 	}
-	res.Warm = warm
+
+	// Mark the rows whose bits changed; appended rows count as changed.
+	st.touched = append(st.touched[:0], make([]bool, n)...)
+	for v := 0; v < oldN; v++ {
+		for y := 0; y < Y; y++ {
+			if math.Float64bits(st.X[v*Y+y]) != math.Float64bits(st.prev[v*Y+y]) {
+				st.touched[v] = true
+				break
+			}
+		}
+	}
+	for v := oldN; v < n; v++ {
+		st.touched[v] = true
+	}
+	res.Warm = FoldPropagation{
+		Sweeps:    cfg.Iterations,
+		Updates:   cfg.Iterations * n,
+		Converged: prop.MaxDelta == 0, // lint:checked floatcmp: a sweep that moved no entry reports exactly zero
+		Touched:   st.touched,
+	}
 
 	// Re-decode only test sentences containing a vertex whose belief
-	// moved. New vertices cannot occur in test sentences (their 3-grams
+	// changed. New vertices cannot occur in test sentences (their 3-grams
 	// were already vertices), so only pre-existing rows matter.
-	redecode := make(map[int]bool)
+	mark := make([]bool, len(st.test.Sentences))
 	for v := 0; v < oldN; v++ {
-		if !warm.Touched[v] {
-			continue
-		}
-		for _, i := range st.vertSents[v] {
-			redecode[int(i)] = true
+		if st.touched[v] {
+			for _, i := range st.vertSents[v] {
+				mark[i] = true
+			}
 		}
 	}
-	list := make([]int, 0, len(redecode))
-	for i := range redecode {
-		list = append(list, i)
+	var list []int
+	for i, m := range mark {
+		if m {
+			list = append(list, i)
+		}
 	}
-	sort.Ints(list)
 	if err := st.decode(list); err != nil {
 		return res, err
 	}
@@ -209,18 +250,16 @@ func (st *Streamer) AddUnlabelled(batch *corpus.Corpus) (StreamResult, error) {
 	return res, nil
 }
 
-// propConfig is the converged-propagation configuration streaming mode
-// uses for both the initial full run and warm restarts. It skips the
-// Equation-1 loss: NewStreamer discards RunFlat's Result and RunWarmFlat
-// never evaluates it, and the loss is diagnostic (no control flow reads
-// it), so the legacy every-sweep schedule would cost one full edge pass
-// per sweep for nothing, with beliefs bit-identical either way.
+// propConfig is the propagation configuration of the initial pass and of
+// every fold: System.Test's fixed sweep count and weights. It skips the
+// Equation-1 loss, which is diagnostic (no control flow reads it) and
+// would cost one full edge pass per sweep, with beliefs bit-identical
+// either way.
 func (st *Streamer) propConfig() propagate.Config {
 	return propagate.Config{
 		Mu:         st.sys.cfg.Mu,
 		Nu:         st.sys.cfg.Nu,
-		Tolerance:  streamTolerance,
-		Iterations: streamSweepCap,
+		Iterations: st.sys.cfg.Iterations,
 		Workers:    st.sys.cfg.Workers,
 		LossEvery:  -1,
 	}

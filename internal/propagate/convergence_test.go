@@ -27,6 +27,34 @@ func randomGraph(rng *rand.Rand, n, k int) *graph.Graph {
 	return g
 }
 
+// flatUniform returns an n-row flat belief matrix initialized uniform.
+func flatUniform(n int) []float64 {
+	const Y = corpus.NumTags
+	X := make([]float64, n*Y)
+	for i := range X {
+		X[i] = 1.0 / Y
+	}
+	return X
+}
+
+// flatProblem builds a random propagation problem over a random graph,
+// with flat beliefs.
+func flatProblem(rng *rand.Rand, n, k int) (*graph.Graph, []float64, [][]float64, []bool) {
+	g := randomGraph(rng, n, k)
+	g.EnsureCSR()
+	X := flatUniform(n)
+	xref := make([][]float64, n)
+	labelled := make([]bool, n)
+	for v := 0; v < n; v++ {
+		if rng.Float64() < 0.3 {
+			labelled[v] = true
+			a := 0.2 + 0.6*rng.Float64()
+			xref[v] = []float64{a, (1 - a) / 2, (1 - a) / 2}
+		}
+	}
+	return g, X, xref, labelled
+}
+
 // TestConvergenceMonotoneDelta: the maximum per-entry change shrinks as
 // more sweeps run (the Jacobi update is a contraction on this objective).
 func TestConvergenceMonotoneDelta(t *testing.T) {

@@ -30,18 +30,8 @@ type Config struct {
 	Mu float64
 	// Nu weights the uniform-prior term (paper: 1e-6 or 1e-4).
 	Nu float64
-	// Iterations is the fixed number of sweeps (paper: 2 or 3). With
-	// Tolerance set it caps the sweep count instead of fixing it; in
-	// RunWarmFlat a zero value means the default warm sweep cap.
+	// Iterations is the fixed number of sweeps (paper: 2 or 3).
 	Iterations int
-	// Tolerance, when positive, stops sweeping early once the largest
-	// per-entry belief change of a sweep is at most Tolerance. Zero keeps
-	// the paper's fixed-sweep behaviour, bit for bit. The coordinate
-	// update is a contraction toward the unique fixed point of Equation 1
-	// (its diagonal strictly dominates: κ = ν + μΣw + 1 on labelled
-	// vertices), so a converged run lands within Tolerance·ρ/(1−ρ) of
-	// that fixed point, where ρ < 1 is the contraction modulus μΣw/κ.
-	Tolerance float64
 	// Workers bounds parallelism (default GOMAXPROCS).
 	Workers int
 	// LossEvery controls how often the Equation-1 objective is evaluated.
@@ -98,7 +88,7 @@ func adjacencyOf(g *graph.Graph, n int) adjacency {
 	return csrOfLists(g.Neighbors, n)
 }
 
-// checkInputs is the argument check Run, RunFlat and RunWarmFlat share,
+// checkInputs is the argument check Run and RunFlat share,
 // run before anything is mutated. n is the vertex count and xLen the
 // number of belief entries the caller holds: len(X) for the flat entry
 // points, len(X)·NumTags for Run, whose rows are passed too so that
@@ -333,12 +323,8 @@ func RunFlat(g *graph.Graph, X []float64, xref [][]float64, labelled []bool, cfg
 				assert.RowsSumToOne(cur, Y, "propagate beliefs after sweep")
 			}
 		}
-		stop := cfg.Tolerance > 0 && res.MaxDelta <= cfg.Tolerance
-		if cfg.lossWanted(it+1, stop || it == cfg.Iterations-1) {
+		if cfg.lossWanted(it+1, it == cfg.Iterations-1) {
 			res.Loss = append(res.Loss, lossFlat(adj, cur, xref, labelled, n, cfg.Mu, cfg.Nu)) // lint:checked noalloc: loss history append within the capacity reserved up front
-		}
-		if stop {
-			break
 		}
 	}
 	// The final beliefs must land in the caller's X; after an odd number
@@ -352,9 +338,7 @@ func RunFlat(g *graph.Graph, X []float64, xref [][]float64, labelled []bool, cfg
 // updateRow applies the Equation-2 Jacobi coordinate update to vertex v:
 // it reads the beliefs of v's out-neighbours from cur, writes v's new
 // distribution into out (length corpus.NumTags), and returns the largest
-// per-entry change. RunFlat's full sweeps and RunWarmFlat's frontier
-// sweeps share this kernel, so a warm-started sweep computes exactly the
-// update a full sweep would for the same vertex and beliefs.
+// per-entry change.
 //
 //graphner:noalloc
 //graphner:nonblocking

@@ -146,11 +146,6 @@ func TestRowWidthRejected(t *testing.T) {
 			_, err := RunFlat(g, X, shortRef, lab, cfg)
 			return X[0] == 0.6 && X[Y] == 1.0/3, err
 		}},
-		{"RunWarmFlat/reference row", "reference row 1 has length 2", func() (bool, error) {
-			X := flat()
-			_, err := RunWarmFlat(g, X, shortRef, lab, cfg, []int32{0, 1, 2})
-			return X[0] == 0.6 && X[Y] == 1.0/3, err
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -170,7 +165,7 @@ func TestRowWidthRejected(t *testing.T) {
 // kernel's arithmetic shows up in the bits.
 func nonUniformProblem(rng *rand.Rand, n, k int) (*graph.Graph, []float64, [][]float64, []bool) {
 	const Y = corpus.NumTags
-	g, X, xref, labelled := warmProblem(rng, n, k)
+	g, X, xref, labelled := flatProblem(rng, n, k)
 	for v := 0; v < n; v++ {
 		a, b := rng.Float64(), rng.Float64()
 		if a > b {

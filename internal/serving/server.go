@@ -56,10 +56,11 @@ type Config struct {
 }
 
 // StreamConfig configures the optional background fold-in of unlabelled
-// traffic via graph.Updater + graphner.Streamer. Enabling it replaces the
-// artifact's fixed-sweep beliefs with converged-propagation beliefs (the
-// streamer's warm-start contract), so served tags may differ from the
-// frozen System.Test output within the propagation tolerance.
+// traffic via graph.Updater + graphner.Streamer. Until the first fold the
+// server answers from the frozen artifact, which is exactly the
+// streamer's initial state (System.Test's graph, beliefs and tags). Each
+// fold then swaps in the streamer's maintained graph and the paper's
+// fixed-sweep beliefs over it, seeded from every sentence folded so far.
 type StreamConfig struct {
 	// BatchSize is how many distinct served sentences accumulate before
 	// a background fold-in runs (default 256).
@@ -166,13 +167,6 @@ func NewServer(art *graphner.Artifact, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serving: stream mode: %w", err)
 		}
 		s.streamer = st
-		// Serve from the streamer's converged state from the start so
-		// fold-ins only ever move beliefs by what the new data changed.
-		if err := tagger.Swap(func() (*graph.Graph, []float64, error) {
-			return st.Graph(), st.VertexBeliefs(), nil
-		}); err != nil {
-			return nil, err
-		}
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -343,7 +337,7 @@ func (s *Server) observe(text string) {
 }
 
 // fold drains the stream buffer and folds it into the graph under the
-// tagger's exclusive lock: incremental graph maintenance plus warm-start
+// tagger's exclusive lock: incremental graph maintenance plus fixed-sweep
 // propagation (graphner.Streamer), then a generation bump so workers
 // re-resolve cached vertex ids.
 func (s *Server) fold() {

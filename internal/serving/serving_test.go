@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http/httptest"
 	"reflect"
@@ -281,6 +282,50 @@ func TestServingStream(t *testing.T) {
 		if _, err := s.Tag(test.Sentences[i].Text); err != nil {
 			t.Fatalf("post-fold sentence %d: %v", i, err)
 		}
+	}
+}
+
+// TestServingStreamStartsFrozen pins why a stream-mode server may answer
+// from the frozen artifact until its first fold: the streamer's initial
+// state is the artifact's — the same graph and bit-identical beliefs — so
+// the served tags are System.Test's.
+func TestServingStreamStartsFrozen(t *testing.T) {
+	art, test, want := testArtifact(t)
+	s, err := NewServer(art, Config{
+		Workers: 2,
+		Stream:  &StreamConfig{BatchSize: 1 << 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if !s.streamer.Graph().Equal(art.Graph()) {
+		t.Fatal("streamer's initial graph differs from the artifact's")
+	}
+	got, frozen := s.streamer.VertexBeliefs(), art.Beliefs()
+	if len(got) != len(frozen) {
+		t.Fatalf("streamer holds %d belief entries, artifact %d", len(got), len(frozen))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(frozen[i]) {
+			t.Fatalf("belief entry %d: streamer %v, artifact %v", i, got[i], frozen[i])
+		}
+	}
+	if !reflect.DeepEqual(s.streamer.Tags(), want) {
+		t.Fatal("streamer's initial tags differ from System.Test's")
+	}
+	for i, sent := range test.Sentences {
+		tags, err := s.Tag(sent.Text)
+		if err != nil {
+			t.Fatalf("sentence %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(tags, want[i]) {
+			t.Fatalf("sentence %d (%q): served %v before any fold, System.Test produced %v",
+				i, sent.Text, tags, want[i])
+		}
+	}
+	if st := s.Stats(); st.Folds != 0 {
+		t.Fatalf("%d folds ran, want none", st.Folds)
 	}
 }
 
