@@ -53,11 +53,15 @@ race:
 # 10-second smoke of each fuzz target — catches shallow regressions
 # without a long fuzzing budget — plus a deterministic pass over the
 # interprocedural analyzer corpora (marker-checked buggy programs under
-# internal/analysis/testdata).
+# internal/analysis/testdata). FuzzReadArtifact's inputs are whole
+# artifact payloads (~6.6 KB), so each newly interesting input is
+# minimized for at most 100 runs instead of the default 60 s, which would
+# use up the budget.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTokenize -fuzztime=10s ./internal/tokenize
 	$(GO) test -run='^$$' -fuzz=FuzzCompileSentence -fuzztime=10s ./internal/crf
 	$(GO) test -run='^$$' -fuzz=FuzzExtractorMatchesReference -fuzztime=10s ./internal/features
+	$(GO) test -run='^$$' -fuzz=FuzzReadArtifact -fuzztime=10s -fuzzminimizetime=100x ./internal/graphner
 	$(GO) test -run 'TestPoolLife|TestLockAtCall|TestDeterminism|TestErrDrop|TestDiffRoundTrip' -count=1 ./internal/analysis ./cmd/graphnerlint
 
 # Fast performance-regression gate (<30s): the incremental-maintenance

@@ -122,3 +122,17 @@ func runLint(outPath string, log *os.File) error {
 	logf("lint: %d packages, %d findings\n", report.PackagesAnalyzed, report.Findings)
 	return writeReport(outPath, &report)
 }
+
+// writeReport marshals a report to outPath ("-" for stdout).
+func writeReport(outPath string, report any) error {
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if outPath == "-" {
+		_, err = os.Stdout.Write(data)
+		return err
+	}
+	return os.WriteFile(outPath, data, 0o644)
+}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -79,9 +78,9 @@ type lshReport struct {
 	F1GatePass  bool    `json:"f1_gate_pass"`
 }
 
-// genLSHCorpus mirrors the hotpaths corpus generator: same profile, same
-// seed, so the LSH sweep measures the workload behind the recorded
-// exact-build numbers.
+// genLSHCorpus generates the BC2GM seed-5 corpus that the root
+// BenchmarkScaling_GraphConstruction times, so the LSH sweep measures the
+// same workload as the exact-build benchmarks.
 func genLSHCorpus(sentences int) *corpus.Corpus {
 	cfg := synth.DefaultConfig(synth.BC2GM, 5)
 	cfg.Sentences = sentences
@@ -217,16 +216,7 @@ func runLSH(outPath string, log *os.File) error {
 	logf("accuracy gate: exact F1 %.4f, lsh F1 %.4f, delta %+.4f (tolerance %.3f)\n",
 		report.F1Exact, report.F1LSH, report.F1Delta, report.F1Tolerance)
 
-	data, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if outPath == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
+	if err := writeReport(outPath, &report); err != nil {
 		return err
 	}
 	logf("wrote %s\n", outPath)

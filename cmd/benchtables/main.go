@@ -39,14 +39,8 @@ func main() {
 	all := flag.Bool("all", false, "regenerate every table and figure")
 	statsFlag := flag.Bool("stats", false, "print §III-D graph statistics")
 	statsOnly := flag.Bool("stats-only", false, "print §III-D graph statistics without training CRFs (fast path for -scale full)")
-	hotpaths := flag.Bool("hotpaths", false, "benchmark the allocation-sensitive kernels (graph build, propagation, references) and write a JSON report")
-	hotpathsOut := flag.String("hotpaths-out", "BENCH_hotpaths.json", "output path for -hotpaths (\"-\" for stdout)")
-	incremental := flag.Bool("incremental", false, "benchmark incremental graph maintenance vs full rebuild (batch 10/50/250 on a 1000-sentence base) and write a JSON report")
-	incrementalOut := flag.String("incremental-out", "BENCH_incremental.json", "output path for -incremental (\"-\" for stdout)")
 	lsh := flag.Bool("lsh", false, "benchmark banded-LSH graph construction vs the exact builder across corpus sizes (recall and worker bit-identity verified inline, end-to-end F1 accuracy gate) and write a JSON report")
 	lshOut := flag.String("lsh-out", "BENCH_lsh.json", "output path for -lsh (\"-\" for stdout)")
-	servingFlag := flag.Bool("serving", false, "benchmark the graphnerd batching server over a frozen artifact (golden identity and warm-allocation checks inline, latency sweep across worker counts) and write a JSON report")
-	servingOut := flag.String("serving-out", "BENCH_serving.json", "output path for -serving (\"-\" for stdout)")
 	lintFlag := flag.Bool("lint", false, "benchmark graphnerlint itself (cold and warm whole-module runs, packages analyzed, findings count) and write a JSON report")
 	lintOut := flag.String("lint-out", "BENCH_lint.json", "output path for -lint (\"-\" for stdout)")
 	seed := flag.Int64("seed", 1, "corpus seed")
@@ -72,7 +66,7 @@ func main() {
 		figs = intList{2, 3, 4, 5}
 		*statsFlag = true
 	}
-	if len(tables) == 0 && len(figs) == 0 && !*statsFlag && !*statsOnly && !*hotpaths && !*incremental && !*lsh && !*servingFlag && !*lintFlag {
+	if len(tables) == 0 && len(figs) == 0 && !*statsFlag && !*statsOnly && !*lsh && !*lintFlag {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -87,24 +81,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *hotpaths {
-		if err := runHotpaths(*hotpathsOut, log); err != nil {
-			fail("hotpaths", err)
-		}
-	}
-	if *incremental {
-		if err := runIncremental(*incrementalOut, log); err != nil {
-			fail("incremental", err)
-		}
-	}
 	if *lsh {
 		if err := runLSH(*lshOut, log); err != nil {
 			fail("lsh", err)
-		}
-	}
-	if *servingFlag {
-		if err := runServing(*servingOut, log); err != nil {
-			fail("serving", err)
 		}
 	}
 	if *lintFlag {

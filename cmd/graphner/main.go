@@ -9,9 +9,10 @@
 //	    Write sentences, GENE.eval and ALTGENE.eval files for a synthetic
 //	    corpus (train and test splits).
 //
-//	graphner run -profile bc2gm [-sentences N] [-seed S] [-base banner|chemdner]
-//	    Generate a corpus, train the base CRF, run GraphNER, and print
-//	    baseline and GraphNER precision/recall/F plus significance.
+//	graphner run -profile bc2gm [-sentences N] [-seed S] [-order 1|2]
+//	    Generate a corpus, train the base CRF (order 1 or 2), run GraphNER,
+//	    and print baseline and GraphNER precision/recall/F plus
+//	    significance.
 //
 //	graphner tag -train DIR [-order 1|2] [-nbest N] [-confidence]
 //	    Train on a generated corpus directory and tag sentences read from
@@ -149,7 +150,7 @@ func lshFlags(fs *flag.FlagSet) func(*graphner.Config) error {
 	tables := fs.Int("lsh-tables", 0, "LSH band (hash table) count (0 = default 16)")
 	maxBucket := fs.Int("lsh-maxbucket", 0, "skip LSH buckets larger than this (0 = default 2000)")
 	rerank := fs.Int("lsh-rerank", 0, "exact-cosine re-rank budget per query (0 = default 4K+24)")
-	refine := fs.Int("lsh-refine", 0, "neighbour-of-neighbour refinement sweeps (0 = default 4, negative = none)")
+	refine := fs.Int("lsh-refine", 0, "neighbour-of-neighbour refinement sweeps (0 = default 5, negative = none)")
 	multiProbe := fs.Bool("lsh-multiprobe", false, "also probe the least-confident bit flips of every band")
 	lshSeed := fs.Int64("lsh-seed", 1, "LSH hyperplane seed")
 	return func(cfg *graphner.Config) error {

@@ -52,7 +52,10 @@ func assertCanonicalEqual(t *testing.T, tag string, got, want *Graph) {
 // streamEquals runs the core equivalence property: feeding batches through
 // an Updater seeded on base must reproduce Build on the growing union
 // corpus under the Updater's frozen statistics, exactly, after every batch.
-func streamEquals(t *testing.T, tag string, base *corpus.Corpus, batches [][]*corpus.Sentence, cfg BuilderConfig) {
+// It returns the rows the batches re-searched from the postings and the
+// rows they repaired in place, summed over the batches, so a caller can
+// require that a path was exercised.
+func streamEquals(t *testing.T, tag string, base *corpus.Corpus, batches [][]*corpus.Sentence, cfg BuilderConfig) (rescanned, repaired int) {
 	t.Helper()
 	u, err := NewUpdater(base, cfg)
 	if err != nil {
@@ -63,15 +66,31 @@ func streamEquals(t *testing.T, tag string, base *corpus.Corpus, batches [][]*co
 	full.Tags = nil
 	union := unionOf(base)
 	for bi, batch := range batches {
-		if _, err := u.AddSentences(batch); err != nil {
+		res, err := u.AddSentences(batch)
+		if err != nil {
 			t.Fatalf("%s: batch %d: %v", tag, bi, err)
 		}
+		rescanned += res.RescannedRows
+		repaired += res.RepairedRows
 		union.Sentences = append(union.Sentences, batch...)
 		want, err := Build(union, full)
 		if err != nil {
 			t.Fatalf("%s: Build union after batch %d: %v", tag, bi, err)
 		}
 		assertCanonicalEqual(t, fmt.Sprintf("%s/batch=%d", tag, bi), u.Graph(), want)
+	}
+	return rescanned, repaired
+}
+
+// requireBothPaths fails unless a stream both re-searched rows from the
+// postings and repaired rows in place. The plain K/mode sweep of
+// TestUpdaterMatchesBuild repairs every dirty row, so the rescan fallback
+// is only reached, and only checked against Build, under a
+// document-frequency cap or MI feature selection.
+func requireBothPaths(t *testing.T, tag string, rescanned, repaired int) {
+	t.Helper()
+	if rescanned == 0 || repaired == 0 {
+		t.Fatalf("%s: %d rescanned and %d repaired rows; both paths must be exercised", tag, rescanned, repaired)
 	}
 }
 
@@ -132,7 +151,8 @@ func TestUpdaterMatchesBuildMIMode(t *testing.T) {
 		tags[i] = s.Tags
 	}
 	cfg := BuilderConfig{K: 5, Mode: MIFeatures, MIThreshold: 0.0005, Tags: tags, Workers: 2}
-	streamEquals(t, "mi", base, batches, cfg)
+	rescanned, repaired := streamEquals(t, "mi", base, batches, cfg)
+	requireBothPaths(t, "mi", rescanned, repaired)
 }
 
 // TestUpdaterMatchesBuildMaxDF exercises the document-frequency cap,
@@ -141,7 +161,8 @@ func TestUpdaterMatchesBuildMaxDF(t *testing.T) {
 	for _, maxDF := range []int{5, 25, 200} {
 		base, batches := synthBatches(int64(maxDF), 60, []int{5, 20, 20})
 		tag := fmt.Sprintf("maxdf=%d", maxDF)
-		streamEquals(t, tag, base, batches, BuilderConfig{K: 5, MaxDF: maxDF, Workers: 3})
+		rescanned, repaired := streamEquals(t, tag, base, batches, BuilderConfig{K: 5, MaxDF: maxDF, Workers: 3})
+		requireBothPaths(t, tag, rescanned, repaired)
 	}
 }
 
@@ -272,5 +293,63 @@ func TestIncrementalSerializationRoundTrip(t *testing.T) {
 	}
 	if h2.NumVertices() != 2 || len(h2.Neighbors[0]) != 1 {
 		t.Fatal("short-Neighbors graph did not round-trip")
+	}
+}
+
+// BenchmarkUpdaterVsBuild times folding one batch into a maintained graph
+// against a from-scratch Build of the union corpus. The base is 1,000
+// BC2GM sentences (synth seed 5); batches of 10, 50 and 250 come from an
+// unlabelled seed-6 pool; K=10 with MaxDF 2000, the experiments' graph
+// setting. Rebuilds run under the Updater's frozen statistics, the
+// configuration that reproduces the maintained graph exactly and the
+// cheapest rebuild (no corpus-wide recount), so Build's time is a lower
+// bound. The incremental side also reports the batch's dirty, repaired
+// and rescanned rows.
+//
+//	go test -run '^$' -bench BenchmarkUpdaterVsBuild -benchtime 5x ./internal/graph
+func BenchmarkUpdaterVsBuild(b *testing.B) {
+	gen := func(seed int64, n int) *corpus.Corpus {
+		cfg := synth.DefaultConfig(synth.BC2GM, seed)
+		cfg.Sentences = n
+		return synth.NewGenerator(cfg).Generate()
+	}
+	base := gen(5, 1000)
+	pool := gen(6, 250).StripLabels()
+	cfg := BuilderConfig{K: 10, MaxDF: 2000}
+	u0, err := NewUpdater(base, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rcfg := cfg
+	rcfg.Stats = u0.Stats()
+	for _, bs := range []int{10, 50, 250} {
+		batch := pool.Sentences[:bs]
+		union := unionOf(base)
+		union.Sentences = append(union.Sentences, batch...)
+		b.Run(fmt.Sprintf("batch=%d/updater", bs), func(b *testing.B) {
+			b.ReportAllocs()
+			var res UpdateResult
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				u := u0.Clone()
+				b.StartTimer()
+				r, err := u.AddSentences(batch)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res = r
+			}
+			b.ReportMetric(float64(len(res.DirtyRows)), "dirty_rows")
+			b.ReportMetric(float64(res.RepairedRows), "repaired_rows")
+			b.ReportMetric(float64(res.RescannedRows), "rescanned_rows")
+		})
+		b.Run(fmt.Sprintf("batch=%d/build", bs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(union, rcfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

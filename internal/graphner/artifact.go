@@ -552,8 +552,12 @@ func (a *Artifact) decodePayload(payload []byte) error {
 	if b.err != nil {
 		return b.err
 	}
-	if m.S <= 0 || m.NumFeatures < 0 {
-		return fmt.Errorf("model has invalid shape (S=%d, features=%d)", m.S, m.NumFeatures)
+	states := corpus.NumTags
+	if m.Order == crf.Order2 {
+		states *= corpus.NumTags
+	}
+	if (m.Order != crf.Order1 && m.Order != crf.Order2) || m.S != states || m.NumFeatures < 0 {
+		return fmt.Errorf("model has invalid shape (order=%d, S=%d, features=%d)", m.Order, m.S, m.NumFeatures)
 	}
 	if len(m.W) != m.NumFeatures*m.S {
 		return fmt.Errorf("model has %d emission weights for %d features × %d states", len(m.W), m.NumFeatures, m.S)
@@ -634,7 +638,10 @@ func (a *Artifact) decodePayload(payload []byte) error {
 	if len(g.EdgeTo) != len(g.EdgeWeight) {
 		return fmt.Errorf("graph has %d edge targets but %d edge weights", len(g.EdgeTo), len(g.EdgeWeight))
 	}
-	if nv > 0 && int(g.EdgeOffsets[nv]) != len(g.EdgeTo) {
+	if g.EdgeOffsets[0] != 0 {
+		return fmt.Errorf("graph offsets start at %d, want 0", g.EdgeOffsets[0])
+	}
+	if int(g.EdgeOffsets[nv]) != len(g.EdgeTo) {
 		return fmt.Errorf("graph offsets end at %d but %d edges are stored", g.EdgeOffsets[nv], len(g.EdgeTo))
 	}
 	for v := 0; v < nv; v++ {

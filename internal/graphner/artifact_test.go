@@ -236,6 +236,29 @@ func TestArtifactReadFailures(t *testing.T) {
 	})
 	wantReadError(t, &badTags, ident, "tags for")
 
+	badTag := *art
+	badTag.train = corpus.New()
+	badTag.train.Sentences = append(badTag.train.Sentences, &corpus.Sentence{
+		ID: "bad", Text: "a", Tokens: tokenize.Sentence("a"),
+		Tags: []corpus.Tag{corpus.NumTags},
+	})
+	wantReadError(t, &badTag, ident, "has tag 3")
+
+	badOrder := *art
+	mo := *art.model
+	mo.Order = 7
+	badOrder.model = &mo
+	wantReadError(t, &badOrder, ident, "invalid shape")
+
+	// Offsets that stay non-decreasing but start below zero would index
+	// EdgeTo at -3 while rebuilding the adjacency lists.
+	badOffsets := *art
+	g := *art.graph
+	g.EdgeOffsets = append([]int32(nil), g.EdgeOffsets...)
+	g.EdgeOffsets[0] = -3
+	badOffsets.graph = &g
+	wantReadError(t, &badOffsets, ident, "offsets start")
+
 	// A model-less artifact must fail at write time.
 	if _, err := (&Artifact{}).WriteTo(&bytes.Buffer{}); err == nil {
 		t.Error("artifact without model serialized")

@@ -99,13 +99,19 @@ func savedCorpus(c *corpus.Corpus) []savedSentence {
 }
 
 // restoreCorpus re-tokenizes a saved sentence list, validating that
-// persisted tag sequences still align with the tokenization.
+// persisted tag sequences still align with the tokenization and hold only
+// BIO tags.
 func restoreCorpus(saved []savedSentence) (*corpus.Corpus, error) {
 	c := corpus.New()
 	for _, sv := range saved {
 		sent := &corpus.Sentence{ID: sv.ID, Text: sv.Text, Tokens: tokenize.Sentence(sv.Text), Tags: sv.Tags}
 		if sv.Tags != nil && len(sv.Tags) != len(sent.Tokens) {
 			return nil, fmt.Errorf("sentence %q has %d tags for %d tokens", sv.ID, len(sv.Tags), len(sent.Tokens))
+		}
+		for _, y := range sv.Tags {
+			if y >= corpus.NumTags {
+				return nil, fmt.Errorf("sentence %q has tag %d, want < %d", sv.ID, y, corpus.NumTags)
+			}
 		}
 		c.Sentences = append(c.Sentences, sent)
 	}

@@ -255,3 +255,34 @@ func BenchmarkLossAndGrad(b *testing.B) {
 		tg.lossAndGrad(s)
 	}
 }
+
+// TestTrainTaggerDeterministic trains twice with one seed: vocabulary ids,
+// and with them the initial embedding rows, must not depend on map order,
+// so the parameters and the tags come out identical.
+func TestTrainTaggerDeterministic(t *testing.T) {
+	for _, arch := range []Arch{LSTMCRF, CharAttention} {
+		cfg := tinyConfig(arch)
+		cfg.Epochs = 3
+		a, err := TrainTagger(toyCorpus(), nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := TrainTagger(toyCorpus(), nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range a.st.params {
+			if a.st.params[i] != b.st.params[i] {
+				t.Fatalf("arch %v: parameter %d differs between runs: %v vs %v", arch, i, a.st.params[i], b.st.params[i])
+			}
+		}
+		for _, s := range toyCorpus().Sentences {
+			ta, tb := a.Tag(s), b.Tag(s)
+			for j := range ta {
+				if ta[j] != tb[j] {
+					t.Fatalf("arch %v: %q tagged %v and %v", arch, s.Text, ta, tb)
+				}
+			}
+		}
+	}
+}

@@ -128,11 +128,17 @@ func TrainTagger(train, dev *corpus.Corpus, cfg TaggerConfig) (*Tagger, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	t := &Tagger{cfg: cfg, vocab: map[string]int{}, chars: map[rune]int{}, st: &store{}}
-	// Vocabulary.
+	// Vocabulary. Words get ids in first-occurrence order, so embedding
+	// rows are initialised in the same order on every run with one Seed.
 	counts := map[string]int{}
+	var words []string
 	for _, s := range train.Sentences {
 		for _, tok := range s.Tokens {
-			counts[normWord(tok.Text)]++
+			w := normWord(tok.Text)
+			if counts[w] == 0 {
+				words = append(words, w)
+			}
+			counts[w]++
 			for _, r := range tok.Text {
 				if _, ok := t.chars[r]; !ok {
 					t.chars[r] = len(t.chars)
@@ -142,8 +148,8 @@ func TrainTagger(train, dev *corpus.Corpus, cfg TaggerConfig) (*Tagger, error) {
 	}
 	t.vocab[unkToken] = 0
 	t.vocab[numToken] = 1
-	for w, c := range counts {
-		if c >= cfg.MinCount && w != numToken {
+	for _, w := range words {
+		if counts[w] >= cfg.MinCount && w != numToken {
 			if _, ok := t.vocab[w]; !ok {
 				t.vocab[w] = len(t.vocab)
 			}
