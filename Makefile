@@ -71,7 +71,8 @@ fuzz-smoke:
 # propagation kernel, the streaming contracts (the streamer's initial pass
 # equals System.Test, every fold equals a from-scratch fixed-sweep run and
 # a full re-decode, and batch schedules agree bit for bit), the scaled CRF
-# training kernel against its log-space reference and L-BFGS against its
+# kernel against its log-space training reference and its pooled inference
+# (posteriors, log-likelihood) against a 256-bit oracle, L-BFGS against its
 # allocating reference loop, and the allocation guards on the propagation
 # sweeps, the byte-interning CRF compile, the pooled CRF decode paths and
 # the training kernel (testing.AllocsPerRun bounds compiled into the tests
@@ -80,7 +81,7 @@ bench-smoke:
 	$(GO) test -run 'TestIncrementalSmoke|TestKNNIncrementalOneBatchGolden|TestPatchCSRMatchesBuildCSR|TestKNNMatchesReference|TestBuildFeatureModesMatchReference' -count=1 ./internal/graph
 	$(GO) test -run 'TestSweepAllocGuard|TestLossEverySchedule' -count=1 ./internal/propagate
 	$(GO) test -run 'TestStreamerInitialMatchesTest|TestStreamerFoldMatchesFromScratch|TestStreamerBatchOrderInvariance' -count=1 ./internal/graphner
-	$(GO) test -run 'TestDecodeAllocGuard|TestPosteriorsAllocGuard|TestCompileSentenceAllocGuard|TestSentenceGradientAllocGuard|TestSentenceGradientMatchesReference|TestLBFGSMatchesReference' -count=1 ./internal/crf
+	$(GO) test -run 'TestDecodeAllocGuard|TestPosteriorsAllocGuard|TestCompileSentenceAllocGuard|TestSentenceGradientAllocGuard|TestSentenceGradientMatchesReference|TestPooledInferenceMatchesExact|TestLBFGSMatchesReference' -count=1 ./internal/crf
 
 # Linter self-benchmark: cold and warm whole-module graphnerlint runs
 # (wall time, packages analyzed, findings) written to BENCH_lint.json —

@@ -2,11 +2,11 @@
 // serve as GraphNER's base models (the paper's stand-ins for BANNER and
 // BANNER-ChemDNER). It supports first- and second-order chains — the
 // second order realized by expanding the state space to tag pairs — with
-// conditional log-likelihood training via L-BFGS, log-space
-// forward–backward for per-token posterior marginals, extraction of
-// tag-level transition probabilities, and Viterbi decoding both over model
-// scores and over arbitrary externally supplied node potentials (the
-// re-decoding step of GraphNER's Algorithm 1, line 9).
+// conditional log-likelihood training via L-BFGS, one scaled
+// probability-space forward–backward (scaledForwardBackward) for both the
+// training gradient and the per-token posterior marginals, and Viterbi
+// decoding both over model scores and over arbitrary externally supplied
+// node potentials (the re-decoding step of GraphNER's Algorithm 1, line 9).
 package crf
 
 import (
@@ -220,143 +220,162 @@ func (m *Model) latticeInto(in *Instance, emit [][]float64) {
 	}
 }
 
-// lattice computes per-position emission scores for an instance,
-// allocating the matrix (compatibility path; hot paths use latticeInto
-// over pooled storage).
-func (m *Model) lattice(in *Instance) [][]float64 {
-	n := in.Len()
-	flat := make([]float64, n*m.S)
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = flat[i*m.S : (i+1)*m.S]
-	}
-	m.latticeInto(in, out)
-	return out
-}
+// maxStates is the largest S (order 2's tag pairs): inference keeps the
+// exponentiated transition and start weights in stack arrays of this size.
+const maxStates = corpus.NumTags * corpus.NumTags
 
-// logSumExp returns log Σ exp(x_i) guarding against -Inf inputs.
-func logSumExp(xs []float64) float64 {
-	max := negInf
-	for _, x := range xs {
-		if x > max {
-			max = x
+// expPotentials fills expT (length S·S) and expStart (length S) with exp
+// of m's transition and start weights, exactly 0 where the chain or the
+// BIO constraint forbids the move. A weight above ~709 overflows to +Inf,
+// which scaledForwardBackward's normaliser check reports.
+func (m *Model) expPotentials(expT, expStart []float64) {
+	S := m.S
+	for p := 0; p < S; p++ {
+		for c := 0; c < S; c++ {
+			expT[p*S+c] = 0
+			if m.transitionOK(p, c) {
+				expT[p*S+c] = math.Exp(m.T[p*S+c]) // lint:checked overflow to +Inf is caught by scaledForwardBackward's normaliser check
+			}
 		}
 	}
-	if math.IsInf(max, -1) {
-		return negInf
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += math.Exp(x - max)
-	}
-	// lint:checked sum includes exp(max-max) = 1, so Log(sum) >= 0 and finite
-	return max + math.Log(sum)
-}
-
-// forwardBackward runs log-space forward-backward on the emission lattice.
-// It returns alpha, beta ([n][S] log values) and logZ (compatibility path;
-// hot paths use forwardBackwardInto over pooled storage).
-func (m *Model) forwardBackward(emit [][]float64) (alpha, beta [][]float64, logZ float64) {
-	n := len(emit)
-	S := m.S
-	alpha = logMatrix(n, S)
-	beta = logMatrix(n, S)
-	logZ = m.forwardBackwardInto(emit, alpha, beta, make([]float64, S))
-	return alpha, beta, logZ
-}
-
-// forwardBackwardInto runs log-space forward-backward on the emission
-// lattice, overwriting alpha and beta (any prior contents, including pool
-// residue, are reset to -Inf first) and staging logSumExp terms in buf
-// (length S). It returns logZ.
-func (m *Model) forwardBackwardInto(emit, alpha, beta [][]float64, buf []float64) (logZ float64) {
-	n := len(emit)
-	S := m.S
-	fillNegInf(alpha)
-	fillNegInf(beta)
-
 	for s := 0; s < S; s++ {
+		expStart[s] = 0
 		if m.startOK(s) {
-			alpha[0][s] = m.Start[s] + emit[0][s]
+			expStart[s] = math.Exp(m.Start[s]) // lint:checked overflow to +Inf is caught by scaledForwardBackward's normaliser check
 		}
 	}
-	for i := 1; i < n; i++ {
-		for cur := 0; cur < S; cur++ {
-			k := 0
-			for prev := 0; prev < S; prev++ {
-				if !m.transitionOK(prev, cur) || math.IsInf(alpha[i-1][prev], -1) {
-					continue
+}
+
+// sumProduct runs scaledForwardBackward for inference, with m's
+// exponentiated transition and start weights computed per call into stack
+// arrays, so Model carries no derived state and a call allocates nothing.
+func (m *Model) sumProduct(pot, alpha, beta [][]float64) (logZ float64, ok bool) {
+	S := m.S
+	var expT [maxStates * maxStates]float64
+	var expStart [maxStates]float64
+	m.expPotentials(expT[:S*S], expStart[:S])
+	return scaledForwardBackward(expT[:S*S], expStart[:S], pot, alpha, beta)
+}
+
+// scaledForwardBackward is the CRF's one sum-product kernel: a scaled
+// (Rabiner-style) forward–backward in probability space, shared by
+// training (sentenceGradient) and inference (Posteriors, PosteriorsInto,
+// LogLikelihood, NBest).
+//
+// pot holds the n×S emission scores on entry. expT and expStart are the
+// exponentiated transition and start weights (expPotentials). Per position
+// i the scores are shifted by their maximum mᵢ before exponentiation, so
+// the only transcendental calls are S exps and one log per position. Each
+// forward row α̂ᵢ is normalised by its sum cᵢ, the backward recursion
+// divides by the same cᵢ, and logZ = Σᵢ (log cᵢ + mᵢ). On return the node
+// marginal is α̂ᵢ[s]·β̂ᵢ[s], and row i ≥ 1 of pot holds potᵢ[c]·β̂ᵢ[c]/cᵢ,
+// so the edge marginal into position i is α̂ᵢ₋₁[p]·expT[p,c]·potᵢ[c].
+// With beta nil only the forward pass runs: logZ is all that
+// LogLikelihood and NBest need.
+//
+// ok is false, logZ NaN, and alpha and beta meaningless when a normaliser
+// is 0 or not finite or a backward row overflows. Only weights far outside
+// what training produces cause it (see TestPosteriorsDegenerate).
+func scaledForwardBackward(expT, expStart []float64, pot, alpha, beta [][]float64) (logZ float64, ok bool) {
+	S := len(expStart)
+	for _, row := range pot {
+		mx := row[0]
+		for _, v := range row[1:] {
+			if v > mx {
+				mx = v
+			}
+		}
+		for s, v := range row {
+			row[s] = math.Exp(v - mx) // lint:checked v ≤ mx, so the argument is ≤ 0 and the result lies in [0, 1]
+		}
+		logZ += mx
+	}
+
+	// Forward: α̂ᵢ[c] = potᵢ[c]·Σₚ α̂ᵢ₋₁[p]·expT[p,c], normalised by its
+	// row sum cᵢ. Row i of pot is divided by cᵢ too, the form in which the
+	// backward pass and the edge marginals use it.
+	for i, a := range alpha {
+		if i == 0 {
+			for s := range a {
+				a[s] = expStart[s] * pot[0][s]
+			}
+		} else {
+			clear(a)
+			for p, ap := range alpha[i-1] {
+				tp := expT[p*S : (p+1)*S : (p+1)*S]
+				for c := range a {
+					a[c] += ap * tp[c]
 				}
-				buf[k] = alpha[i-1][prev] + m.T[prev*S+cur]
-				k++
 			}
-			if k > 0 {
-				alpha[i][cur] = logSumExp(buf[:k]) + emit[i][cur]
+			for c, v := range pot[i] {
+				a[c] *= v
 			}
 		}
+		c := 0.0
+		for _, v := range a {
+			c += v
+		}
+		if !(c > 0 && c <= math.MaxFloat64) {
+			return math.NaN(), false
+		}
+		inv := 1 / c
+		for s := range a {
+			a[s] *= inv
+			pot[i][s] *= inv
+		}
+		logZ += math.Log(c)
 	}
-	for s := 0; s < S; s++ {
-		beta[n-1][s] = 0
+	if beta == nil {
+		return logZ, true
+	}
+
+	// Backward: β̂ᵢ[p] = Σ_c expT[p,c]·potᵢ₊₁[c]·β̂ᵢ₊₁[c]/cᵢ₊₁. Row i+1 of
+	// pot is multiplied by β̂ᵢ₊₁ in place, the factor the edge marginals
+	// into position i+1 need.
+	n := len(pot)
+	for s := range beta[n-1] {
+		beta[n-1][s] = 1
 	}
 	for i := n - 2; i >= 0; i-- {
-		for prev := 0; prev < S; prev++ {
-			k := 0
-			for cur := 0; cur < S; cur++ {
-				if !m.transitionOK(prev, cur) || math.IsInf(beta[i+1][cur], -1) {
-					continue
-				}
-				buf[k] = m.T[prev*S+cur] + emit[i+1][cur] + beta[i+1][cur]
-				k++
+		next := pot[i+1]
+		for c := range next {
+			next[c] *= beta[i+1][c]
+		}
+		sum := 0.0
+		for p := range beta[i] {
+			tp := expT[p*S : (p+1)*S : (p+1)*S]
+			b := 0.0
+			for c, v := range next {
+				b += tp[c] * v
 			}
-			if k > 0 {
-				beta[i][prev] = logSumExp(buf[:k])
-			}
+			beta[i][p] = b
+			sum += b
+		}
+		if !(sum <= math.MaxFloat64) {
+			return math.NaN(), false
 		}
 	}
-	return logSumExp(alpha[n-1])
-}
-
-func logMatrix(n, s int) [][]float64 {
-	flat := make([]float64, n*s)
-	for i := range flat {
-		flat[i] = negInf
-	}
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = flat[i*s : (i+1)*s]
-	}
-	return out
+	return logZ, true
 }
 
 // Posteriors returns the per-position marginal distribution over BIO tags,
 // P(t_i = y | x), for the instance. Each row sums to 1. The returned rows
-// share one flat backing array; the DP lattices come from the pool.
+// share one flat backing array filled by PosteriorsInto, so the two agree
+// bit for bit.
 func (m *Model) Posteriors(in *Instance) [][]float64 {
+	const Y = corpus.NumTags
 	n := in.Len()
 	if n == 0 {
 		return nil
 	}
-	sc := acquireScratch(n, m.S)
-	emit := sc.mat(0, n, m.S)
-	alpha := sc.mat(1, n, m.S)
-	beta := sc.mat(2, n, m.S)
-	buf, _ := sc.bufs(n, m.S)
-	m.latticeInto(in, emit)
-	logZ := m.forwardBackwardInto(emit, alpha, beta, buf)
-	out := make([][]float64, n)
-	backing := make([]float64, n*corpus.NumTags)
-	for i := 0; i < n; i++ {
-		row := backing[i*corpus.NumTags : (i+1)*corpus.NumTags : (i+1)*corpus.NumTags]
-		for s := 0; s < m.S; s++ {
-			lp := alpha[i][s] + beta[i][s] - logZ
-			if !math.IsInf(lp, -1) {
-				row[m.stateTag(s)] += math.Exp(lp)
-			}
-		}
-		normalize(row)
-		out[i] = row
+	backing := make([]float64, n*Y)
+	if err := m.PosteriorsInto(in, backing); err != nil {
+		panic(err) // unreachable: backing holds exactly n·Y entries
 	}
-	sc.release()
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = backing[i*Y : (i+1)*Y : (i+1)*Y]
+	}
 	return out
 }
 
@@ -382,7 +401,8 @@ func normalize(row []float64) {
 }
 
 // LogLikelihood returns the conditional log-likelihood log p(tags|x) of a
-// labelled instance under the model.
+// labelled instance under the model. It is NaN when the normaliser is 0 or
+// not finite in float64 (see scaledForwardBackward).
 func (m *Model) LogLikelihood(in *Instance) float64 {
 	if in.Len() == 0 {
 		return 0
@@ -390,17 +410,14 @@ func (m *Model) LogLikelihood(in *Instance) float64 {
 	if in.Tags == nil {
 		panic("crf: LogLikelihood on unlabelled instance")
 	}
-	n := in.Len()
-	sc := acquireScratch(n, m.S)
-	emit := sc.mat(0, n, m.S)
-	alpha := sc.mat(1, n, m.S)
-	beta := sc.mat(2, n, m.S)
-	buf, _ := sc.bufs(n, m.S)
-	m.latticeInto(in, emit)
-	logZ := m.forwardBackwardInto(emit, alpha, beta, buf)
-	ll := m.pathScore(in, emit) - logZ
-	sc.release()
-	return ll
+	n, S := in.Len(), m.S
+	sc := acquireScratch(n, S)
+	defer sc.release()
+	pot := sc.mat(0, n, S)
+	m.latticeInto(in, pot)
+	score := m.pathScore(in, pot)
+	logZ, _ := m.sumProduct(pot, sc.mat(1, n, S), nil)
+	return score - logZ
 }
 
 // pathScore returns the unnormalized log score of the gold path.
@@ -427,49 +444,6 @@ func tagBefore(in *Instance, i int) corpus.Tag {
 		return corpus.O
 	}
 	return in.Tags[i-1]
-}
-
-// TagTransitions returns the tag-level transition probability matrix
-// P(t_i = c | t_{i-1} = p), obtained by marginalizing the learned expanded
-// transition weights through a softmax per source tag. This is the T_s of
-// Algorithm 1 used in GraphNER's final Viterbi re-decoding.
-func (m *Model) TagTransitions() [][]float64 {
-	out := make([][]float64, corpus.NumTags)
-	for p := 0; p < corpus.NumTags; p++ {
-		row := make([]float64, corpus.NumTags)
-		for c := 0; c < corpus.NumTags; c++ {
-			// Collect all expanded transitions whose tags are p→c and
-			// log-sum them.
-			var vals []float64
-			for ps := 0; ps < m.S; ps++ {
-				if m.stateTag(ps) != corpus.Tag(p) {
-					continue
-				}
-				for cs := 0; cs < m.S; cs++ {
-					if m.stateTag(cs) != corpus.Tag(c) || !m.transitionOK(ps, cs) {
-						continue
-					}
-					vals = append(vals, m.T[ps*m.S+cs])
-				}
-			}
-			if len(vals) == 0 {
-				row[c] = negInf
-			} else {
-				row[c] = logSumExp(vals)
-			}
-		}
-		// Softmax row into probabilities.
-		z := logSumExp(row)
-		for c := range row {
-			if math.IsInf(row[c], -1) {
-				row[c] = 0
-			} else {
-				row[c] = math.Exp(row[c] - z)
-			}
-		}
-		out[p] = row
-	}
-	return out
 }
 
 // Decode returns the Viterbi-optimal tag sequence under the model.

@@ -229,33 +229,6 @@ func TestLogLikelihoodPanicsUnlabelled(t *testing.T) {
 	m.LogLikelihood(randomInstance(rng, 3, 5, false))
 }
 
-func TestTagTransitionsRowsSumToOne(t *testing.T) {
-	for _, order := range []Order{Order1, Order2} {
-		rng := rand.New(rand.NewSource(9))
-		m := randomModel(rng, order, 5, true)
-		trans := m.TagTransitions()
-		if len(trans) != corpus.NumTags {
-			t.Fatalf("got %d rows", len(trans))
-		}
-		for p, row := range trans {
-			var sum float64
-			for _, v := range row {
-				if v < 0 {
-					t.Fatalf("negative transition prob %g", v)
-				}
-				sum += v
-			}
-			if math.Abs(sum-1) > 1e-9 {
-				t.Errorf("order %d: row %d sums to %g", order, p, sum)
-			}
-		}
-		// BIO: O→I must be zero.
-		if trans[corpus.O][corpus.I] != 0 {
-			t.Errorf("order %d: O→I transition probability %g, want 0", order, trans[corpus.O][corpus.I])
-		}
-	}
-}
-
 func TestEmptyInstance(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := randomModel(rng, Order2, 5, true)
@@ -342,22 +315,42 @@ func TestDecodeWithPotentialsZeroRows(t *testing.T) {
 	}
 }
 
-func BenchmarkPosteriorsOrder2(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := randomModel(rng, Order2, 1000, true)
-	in := randomInstance(rng, 25, 1000, false)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.Posteriors(in)
+// benchModel draws a model over the nf features of benchData with weights
+// of σ = 0.5, as BenchmarkSentenceGradient evaluates; inference costs do not
+// depend on the weight values.
+func benchModel(order Order, nf int) *Model {
+	m := randomModel(rand.New(rand.NewSource(3)), order, nf, true)
+	for _, w := range [][]float64{m.W, m.T, m.Start} {
+		for i := range w {
+			w[i] *= 0.5
+		}
+	}
+	return m
+}
+
+// benchInference times one pass of infer over the 900-sentence split of
+// benchData per op, and reports the time per sentence.
+func benchInference(b *testing.B, infer func(m *Model, in *Instance)) {
+	data, nf := benchData()
+	for _, order := range []Order{Order1, Order2} {
+		b.Run(benchOrderName[order], func(b *testing.B) {
+			m := benchModel(order, nf)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, in := range data {
+					infer(m, in)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(data)), "ns/sentence")
+		})
 	}
 }
 
-func BenchmarkDecodeOrder2(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := randomModel(rng, Order2, 1000, true)
-	in := randomInstance(rng, 25, 1000, false)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.Decode(in)
-	}
+func BenchmarkPosteriors(b *testing.B) {
+	benchInference(b, func(m *Model, in *Instance) { m.Posteriors(in) })
+}
+
+func BenchmarkDecode(b *testing.B) {
+	benchInference(b, func(m *Model, in *Instance) { m.Decode(in) })
 }

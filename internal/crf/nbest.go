@@ -16,9 +16,10 @@ type ScoredPath struct {
 
 // NBest returns the n highest-probability tag sequences for the instance,
 // in descending probability order, with exact conditional log-
-// probabilities. It runs Viterbi with per-state candidate lists (the
-// standard n-best lattice extension): each state at each position keeps
-// its n best predecessor extensions.
+// probabilities (NaN when the normaliser is 0 or not finite, see
+// scaledForwardBackward). It runs Viterbi with per-state candidate lists
+// (the standard n-best lattice extension): each state at each position
+// keeps its n best predecessor extensions.
 func (m *Model) NBest(in *Instance, n int) []ScoredPath {
 	if in.Len() == 0 || n <= 0 {
 		return nil
@@ -28,9 +29,7 @@ func (m *Model) NBest(in *Instance, n int) []ScoredPath {
 	sc := acquireScratch(T, S)
 	defer sc.release()
 	emit := sc.mat(0, T, S)
-	buf, _ := sc.bufs(T, S)
 	m.latticeInto(in, emit)
-	logZ := m.forwardBackwardInto(emit, sc.mat(1, T, S), sc.mat(2, T, S), buf)
 
 	// cand[s] holds up to n best partial paths ending in state s.
 	type partial struct {
@@ -68,6 +67,10 @@ func (m *Model) NBest(in *Instance, n int) []ScoredPath {
 		}
 		cur = next
 	}
+
+	// The path search is done with emit, so the kernel may exponentiate
+	// it in place.
+	logZ, _ := m.sumProduct(emit, sc.mat(1, T, S), nil)
 
 	// Gather final candidates across all end states.
 	var finals []*partial

@@ -11,8 +11,8 @@ import (
 // TestPoolStressNoCrossRequestBleed hammers the pooled inference paths
 // (Posteriors, Decode, LogLikelihood — all backed by the shared
 // latticePool) from many goroutines over instances of mixed lengths, and
-// demands bit-identical agreement with the allocating seed references
-// computed up front. Any cross-request bleed — one goroutine reading
+// demands bit-identical agreement with results computed up front: serial
+// Posteriors and LogLikelihood calls, and the allocating seed Decode. Any cross-request bleed — one goroutine reading
 // lattice or flat-buffer residue written by another — perturbs the
 // results and fails the comparison; tier 1 runs this under -race, which
 // additionally catches the unsynchronized accesses themselves.
@@ -30,9 +30,9 @@ func TestPoolStressNoCrossRequestBleed(t *testing.T) {
 		// Mixed lengths so pooled buffers are constantly resized/reused
 		// across goroutines, maximizing the chance residue is observable.
 		ins[i] = randomInstance(rng, 1+rng.Intn(30), nf, true)
-		wantPost[i] = referencePosteriors(m, ins[i])
+		wantPost[i] = m.Posteriors(ins[i])
 		wantTags[i] = referenceDecode(m, ins[i])
-		wantLL[i] = referenceLogLikelihood(m, ins[i])
+		wantLL[i] = m.LogLikelihood(ins[i])
 	}
 
 	const workers = 8

@@ -12,35 +12,11 @@ import (
 )
 
 // This file pins the pooled-lattice inference paths and the flat-backed
-// sentence compiler to the seed behaviour. The reference functions below
-// re-derive each result through the allocating compatibility wrappers
-// (lattice, forwardBackward, logMatrix), which carry the seed arithmetic
-// verbatim; the tests demand bit-identical output, including after the
-// pool has been warmed by sentences of different lengths (stale residue
-// in reused buffers must be invisible).
-
-// referencePosteriors is the seed Posteriors implementation.
-func referencePosteriors(m *Model, in *Instance) [][]float64 {
-	if in.Len() == 0 {
-		return nil
-	}
-	emit := m.lattice(in)
-	alpha, beta, logZ := m.forwardBackward(emit)
-	n := in.Len()
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		row := make([]float64, corpus.NumTags)
-		for s := 0; s < m.S; s++ {
-			lp := alpha[i][s] + beta[i][s] - logZ
-			if !math.IsInf(lp, -1) {
-				row[m.stateTag(s)] += math.Exp(lp)
-			}
-		}
-		normalize(row)
-		out[i] = row
-	}
-	return out
-}
+// sentence compiler. Posteriors and LogLikelihood are checked against the
+// big.Float oracle of train_test.go; Decode and CompileSentence against
+// allocating references that carry the seed arithmetic verbatim, bit for
+// bit. The checks run after the pool has been warmed by sentences of
+// different lengths, so stale residue in reused buffers must be invisible.
 
 // referenceDecode is the seed Decode implementation.
 func referenceDecode(m *Model, in *Instance) []corpus.Tag {
@@ -91,48 +67,30 @@ func referenceDecode(m *Model, in *Instance) []corpus.Tag {
 	return tags
 }
 
-// referenceLogLikelihood is the seed LogLikelihood implementation.
-func referenceLogLikelihood(m *Model, in *Instance) float64 {
-	if in.Len() == 0 {
-		return 0
-	}
-	emit := m.lattice(in)
-	_, _, logZ := m.forwardBackward(emit)
-	return m.pathScore(in, emit) - logZ
-}
-
-func TestPooledInferenceMatchesSeed(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	const nf = 50
-	for _, order := range []Order{Order1, Order2} {
-		m := randomModel(rng, order, nf, true)
-		// Mixed lengths on purpose: each call reuses pool buffers sized by
-		// a previous, differently-sized sentence.
-		for trial := 0; trial < 30; trial++ {
-			n := 1 + rng.Intn(25)
-			in := randomInstance(rng, n, nf, true)
-
-			got := m.Posteriors(in)
-			want := referencePosteriors(m, in)
-			for i := range want {
-				for y := range want[i] {
-					if got[i][y] != want[i][y] {
-						t.Fatalf("order %d trial %d: Posteriors[%d][%d] = %v, seed %v",
-							order, trial, i, y, got[i][y], want[i][y])
-					}
+// TestPooledInferenceMatchesExact checks the pooled inference paths on
+// both orders, BIO on and off, weights of σ 1 and 5, and lengths 1–60 with
+// unknown feature ids, visited out of order so each call reuses a pool
+// buffer sized by a different sentence. Posteriors and LogLikelihood agree
+// with the 256-bit oracle to 1e-12·(1+|exact|); Decode is bit-identical to
+// the seed Viterbi.
+func TestPooledInferenceMatchesExact(t *testing.T) {
+	for _, tc := range gradientCases(rand.New(rand.NewSource(23)), []float64{1, 5}, []int{7, 1, 25, 2, 60, 13, 3}) {
+		m, in := tc.m, tc.in
+		got, want := m.Posteriors(in), exactPosteriors(m, in)
+		for i := range want {
+			for y := range want[i] {
+				if math.Abs(got[i][y]-want[i][y]) > 1e-12*(1+math.Abs(want[i][y])) {
+					t.Fatalf("%s: Posteriors[%d][%d] = %.17g, exact %.17g", tc.name, i, y, got[i][y], want[i][y])
 				}
 			}
-
-			gt := m.Decode(in)
-			wt := referenceDecode(m, in)
-			for i := range wt {
-				if gt[i] != wt[i] {
-					t.Fatalf("order %d trial %d: Decode[%d] = %v, seed %v", order, trial, i, gt[i], wt[i])
-				}
-			}
-
-			if gl, wl := m.LogLikelihood(in), referenceLogLikelihood(m, in); gl != wl {
-				t.Fatalf("order %d trial %d: LogLikelihood = %v, seed %v", order, trial, gl, wl)
+		}
+		if gl, wl := m.LogLikelihood(in), exactLogLikelihood(m, in); math.Abs(gl-wl) > 1e-12*(1+math.Abs(wl)) {
+			t.Fatalf("%s: LogLikelihood = %.17g, exact %.17g", tc.name, gl, wl)
+		}
+		gt, wt := m.Decode(in), referenceDecode(m, in)
+		for i := range wt {
+			if gt[i] != wt[i] {
+				t.Fatalf("%s: Decode[%d] = %v, seed %v", tc.name, i, gt[i], wt[i])
 			}
 		}
 	}
@@ -169,7 +127,8 @@ func TestDecodeWithPotentialsPooledDeterminism(t *testing.T) {
 }
 
 // TestPooledInferenceConcurrent hammers the pooled paths from many
-// goroutines; with -race this verifies scratch buffers are never shared.
+// goroutines, demanding the results of serial calls made before they
+// start; with -race this verifies scratch buffers are never shared.
 func TestPooledInferenceConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const nf = 40
@@ -179,7 +138,7 @@ func TestPooledInferenceConcurrent(t *testing.T) {
 	wantTags := make([][]corpus.Tag, len(ins))
 	for i := range ins {
 		ins[i] = randomInstance(rng, 1+rng.Intn(20), nf, false)
-		wantPost[i] = referencePosteriors(m, ins[i])
+		wantPost[i] = m.Posteriors(ins[i])
 		wantTags[i] = referenceDecode(m, ins[i])
 	}
 	var wg sync.WaitGroup

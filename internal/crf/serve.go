@@ -8,12 +8,12 @@ import (
 )
 
 // This file holds the allocation-free inference variants the serving path
-// (internal/serving, cmd/graphnerd) drives at production rates. They are
-// bit-identical to their allocating counterparts: PosteriorsInto performs
-// exactly Posteriors' floating-point operations in the same order, and
-// PotentialDecoder.DecodeFlat mirrors DecodeWithPotentialsT — the only
-// differences are who owns the output storage and that the tempered
-// log-transition matrix is computed once instead of per decode.
+// (internal/serving, cmd/graphnerd) drives at production rates. Posteriors
+// is PosteriorsInto over a freshly allocated buffer, so the two agree bit
+// for bit by construction. PotentialDecoder.DecodeFlat mirrors
+// DecodeWithPotentialsT exactly — the only differences are who owns the
+// output storage and that the tempered log-transition matrix is computed
+// once instead of per decode.
 
 // potentialFloor keeps zero node/transition probabilities from
 // disconnecting the Viterbi lattice (shared by DecodeWithPotentialsT and
@@ -28,11 +28,13 @@ func logPotential(p float64) float64 {
 	return math.Log(p)
 }
 
-// PosteriorsInto computes the same per-position BIO marginals as
-// Posteriors but writes them into the caller's flat row-major buffer out
-// (position i's distribution occupies out[i*corpus.NumTags:(i+1)*corpus.NumTags]),
-// which must hold at least Len()*corpus.NumTags entries. The DP lattices
-// come from the pool, so a warm call allocates nothing.
+// PosteriorsInto computes the per-position BIO marginals P(t_i = y | x)
+// into the caller's flat row-major buffer out (position i's distribution
+// occupies out[i*corpus.NumTags:(i+1)*corpus.NumTags]), which must hold at
+// least Len()*corpus.NumTags entries. The marginals come from
+// scaledForwardBackward; a sentence whose normaliser is 0 or not finite
+// gets uniform rows. The lattices come from the pool, so a warm call
+// allocates nothing.
 //
 //graphner:noalloc checked by the contract linter; TestPosteriorsAllocGuard measures it
 //graphner:nonblocking
@@ -45,27 +47,22 @@ func (m *Model) PosteriorsInto(in *Instance, out []float64) error {
 	if n == 0 {
 		return nil
 	}
-	sc := acquireScratch(n, m.S)
-	emit := sc.mat(0, n, m.S)
-	alpha := sc.mat(1, n, m.S)
-	beta := sc.mat(2, n, m.S)
-	buf, _ := sc.bufs(n, m.S)
-	m.latticeInto(in, emit)
-	logZ := m.forwardBackwardInto(emit, alpha, beta, buf)
+	S := m.S
+	sc := acquireScratch(n, S)
+	defer sc.release()
+	pot, alpha, beta := sc.mat(0, n, S), sc.mat(1, n, S), sc.mat(2, n, S)
+	m.latticeInto(in, pot)
+	_, ok := m.sumProduct(pot, alpha, beta)
 	for i := 0; i < n; i++ {
 		row := out[i*Y : (i+1)*Y : (i+1)*Y]
-		for y := range row {
-			row[y] = 0
-		}
-		for s := 0; s < m.S; s++ {
-			lp := alpha[i][s] + beta[i][s] - logZ
-			if !math.IsInf(lp, -1) {
-				row[m.stateTag(s)] += math.Exp(lp)
+		clear(row)
+		if ok {
+			for s, a := range alpha[i] {
+				row[m.stateTag(s)] += a * beta[i][s]
 			}
 		}
-		normalize(row)
+		normalize(row) // a zero row, as when !ok, becomes uniform
 	}
-	sc.release()
 	return nil
 }
 

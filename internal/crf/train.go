@@ -182,44 +182,25 @@ func (o *objective) Eval(x, grad []float64) float64 {
 }
 
 // potentials fills o.expT and o.expStart from m's transition and start
-// weights: exp of each permitted weight, exactly 0 where the chain or the
-// BIO constraint forbids it. A weight above ~709 overflows to +Inf, which
-// the kernel's normaliser check turns into an +Inf objective.
+// weights (Model.expPotentials). A weight that overflows exp turns into an
+// +Inf objective through sentenceGradient's normaliser check.
 func (o *objective) potentials(m *Model) {
-	S := m.S
 	if o.expT == nil {
-		o.expT = make([]float64, S*S)
-		o.expStart = make([]float64, S)
+		o.expT = make([]float64, m.S*m.S)
+		o.expStart = make([]float64, m.S)
 	}
-	for p := 0; p < S; p++ {
-		for c := 0; c < S; c++ {
-			o.expT[p*S+c] = 0
-			if m.transitionOK(p, c) {
-				o.expT[p*S+c] = math.Exp(m.T[p*S+c]) // lint:checked overflow to +Inf is caught by sentenceGradient's normaliser check
-			}
-		}
-	}
-	for s := 0; s < S; s++ {
-		o.expStart[s] = 0
-		if m.startOK(s) {
-			o.expStart[s] = math.Exp(m.Start[s]) // lint:checked overflow to +Inf is caught by sentenceGradient's normaliser check
-		}
-	}
+	m.expPotentials(o.expT, o.expStart)
 }
 
 // sentenceGradient accumulates ∂NLL/∂θ for one sentence into the provided
 // gradient views and returns the sentence NLL = logZ − score(gold path).
 //
-// It runs a scaled (Rabiner-style) forward–backward in probability space.
 // expT and expStart are the exponentiated transition and start weights
-// (objective.potentials); per position i the emission scores are shifted
-// by their maximum mᵢ before exponentiation, so the only transcendental
-// calls are S exps and one log per position. Each forward row is
-// normalised by its sum cᵢ, the backward recursion divides by the same
-// cᵢ, and logZ = Σᵢ (log cᵢ + mᵢ). The node marginal is then α̂ᵢ[s]·β̂ᵢ[s]
-// and the edge marginal α̂ᵢ₋₁[p]·expT[p,c]·potᵢ[c]·β̂ᵢ[c]/cᵢ; the
-// empirical counts are folded into the same pass, so each active
-// feature's gradient row is touched once per position.
+// (objective.potentials). The marginals come from scaledForwardBackward:
+// the node marginal is α̂ᵢ[s]·β̂ᵢ[s] and the edge marginal
+// α̂ᵢ₋₁[p]·expT[p,c]·potᵢ[c] over the kernel's rescaled pot. The empirical
+// counts are folded into the same pass, so each active feature's gradient
+// row is touched once per position.
 //
 // A normaliser that is 0 or not finite (or a backward row that overflows)
 // can only come from extreme trial weights: the kernel then returns +Inf
@@ -240,99 +221,16 @@ func sentenceGradient(m *Model, expT, expStart []float64, in *Instance, gW, gT, 
 	beta := sc.mat(2, n, S)
 	marg, _ := sc.bufs(n, S)
 	m.latticeInto(in, pot)
-
-	// The gold path's score reads the emission scores before they are
-	// exponentiated in place.
-	goldScore := 0.0
-	prev := -1
-	for i := 0; i < n; i++ {
-		s := m.stateFor(tagBefore(in, i), in.Tags[i])
-		if i == 0 {
-			goldScore += m.Start[s]
-		} else {
-			goldScore += m.T[prev*S+s]
-		}
-		goldScore += pot[i][s]
-		prev = s
-	}
-
-	logZ := 0.0
-	for _, row := range pot {
-		mx := row[0]
-		for _, v := range row[1:] {
-			if v > mx {
-				mx = v
-			}
-		}
-		for s, v := range row {
-			row[s] = math.Exp(v - mx) // lint:checked v ≤ mx, so the argument is ≤ 0 and the result lies in [0, 1]
-		}
-		logZ += mx
-	}
-
-	// Forward: α̂ᵢ[c] = potᵢ[c]·Σₚ α̂ᵢ₋₁[p]·expT[p,c], normalised by its
-	// row sum cᵢ. Row i of pot is divided by cᵢ too, the form in which the
-	// backward pass and the edge marginals use it.
-	for i, a := range alpha {
-		if i == 0 {
-			for s := range a {
-				a[s] = expStart[s] * pot[0][s]
-			}
-		} else {
-			clear(a)
-			for p, ap := range alpha[i-1] {
-				tp := expT[p*S : (p+1)*S : (p+1)*S]
-				for c := range a {
-					a[c] += ap * tp[c]
-				}
-			}
-			for c, v := range pot[i] {
-				a[c] *= v
-			}
-		}
-		c := 0.0
-		for _, v := range a {
-			c += v
-		}
-		if !(c > 0 && c <= math.MaxFloat64) {
-			return math.Inf(1)
-		}
-		inv := 1 / c
-		for s := range a {
-			a[s] *= inv
-			pot[i][s] *= inv
-		}
-		logZ += math.Log(c)
-	}
-
-	// Backward: β̂ᵢ[p] = Σ_c expT[p,c]·potᵢ₊₁[c]·β̂ᵢ₊₁[c]/cᵢ₊₁. Row i+1 of
-	// pot is multiplied by β̂ᵢ₊₁ in place, the factor the edge marginals
-	// into position i+1 need.
-	for s := range beta[n-1] {
-		beta[n-1][s] = 1
-	}
-	for i := n - 2; i >= 0; i-- {
-		next := pot[i+1]
-		for c := range next {
-			next[c] *= beta[i+1][c]
-		}
-		sum := 0.0
-		for p := range beta[i] {
-			tp := expT[p*S : (p+1)*S : (p+1)*S]
-			b := 0.0
-			for c, v := range next {
-				b += tp[c] * v
-			}
-			beta[i][p] = b
-			sum += b
-		}
-		if !(sum <= math.MaxFloat64) {
-			return math.Inf(1)
-		}
+	// The gold path's score reads the emission scores before the kernel
+	// exponentiates them in place.
+	goldScore := m.pathScore(in, pot)
+	logZ, ok := scaledForwardBackward(expT, expStart, pot, alpha, beta)
+	if !ok {
+		return math.Inf(1)
 	}
 
 	// Gradient: expected minus empirical counts, one pass per position.
-	prev = -1
+	prev := -1
 	for i := 0; i < n; i++ {
 		gold := m.stateFor(tagBefore(in, i), in.Tags[i])
 		for s := range marg {

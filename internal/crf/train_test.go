@@ -17,7 +17,7 @@ import (
 
 // referenceSentenceGradient is the log-space training kernel that
 // sentenceGradient replaced, kept verbatim: forward–backward in log space
-// (forwardBackwardInto, the kernel inference still uses), one exp per node
+// (forwardBackwardInto, kept in logspace_test.go), one exp per node
 // and per permitted edge marginal, and a second pass for the empirical
 // counts. TestSentenceGradientMatchesReference compares the scaled kernel
 // against it.
@@ -228,10 +228,17 @@ func exactExp(x float64) *big.Float {
 	return sum
 }
 
-// exactSentenceGradient writes ∂NLL/∂θ for one instance into g (laid out as
-// objective.view) and returns the NLL, from unscaled probability-space
-// forward–backward in big.Float arithmetic.
-func exactSentenceGradient(m *Model, in *Instance, g []float64) float64 {
+// exactLattice is an unscaled probability-space forward–backward over one
+// instance in exactPrec-bit big.Float arithmetic: the oracle the scaled
+// kernel is checked against in training and in inference.
+type exactLattice struct {
+	emit             [][]float64 // the float64 emission scores
+	pot, alpha, beta [][]*big.Float
+	expT             []*big.Float
+	z                *big.Float // the normaliser Σₛ alpha[n-1][s]
+}
+
+func exactForwardBackward(m *Model, in *Instance) *exactLattice {
 	n, S := in.Len(), m.S
 	emit := m.lattice(in)
 	grid := func() [][]*big.Float {
@@ -287,6 +294,56 @@ func exactSentenceGradient(m *Model, in *Instance, g []float64) float64 {
 	for _, a := range alpha[n-1] {
 		z.Add(z, a)
 	}
+	return &exactLattice{emit: emit, pot: pot, alpha: alpha, beta: beta, expT: expT, z: z}
+}
+
+// marginal returns the node marginal P(state s at position i).
+func (e *exactLattice) marginal(i, s int) *big.Float {
+	marg := newExact().Mul(e.alpha[i][s], e.beta[i][s])
+	return marg.Quo(marg, e.z)
+}
+
+// logZ returns log z rounded to float64.
+func (e *exactLattice) logZ() float64 {
+	mant := newExact()
+	exp := e.z.MantExp(mant)
+	mf, _ := mant.Float64()
+	return math.Log(mf) + float64(exp)*math.Ln2
+}
+
+// exactPosteriors returns the per-position tag marginals, each summed over
+// the states of its tag before rounding to float64.
+func exactPosteriors(m *Model, in *Instance) [][]float64 {
+	e := exactForwardBackward(m, in)
+	out := make([][]float64, in.Len())
+	for i := range out {
+		acc := make([]*big.Float, corpus.NumTags)
+		for y := range acc {
+			acc[y] = newExact()
+		}
+		for s := 0; s < m.S; s++ {
+			y := m.stateTag(s)
+			acc[y].Add(acc[y], e.marginal(i, s))
+		}
+		out[i] = make([]float64, corpus.NumTags)
+		for y, v := range acc {
+			out[i][y], _ = v.Float64()
+		}
+	}
+	return out
+}
+
+// exactLogLikelihood returns log p(tags|x) with the oracle's logZ.
+func exactLogLikelihood(m *Model, in *Instance) float64 {
+	e := exactForwardBackward(m, in)
+	return m.pathScore(in, e.emit) - e.logZ()
+}
+
+// exactSentenceGradient writes ∂NLL/∂θ for one instance into g (laid out as
+// objective.view) and returns the NLL, from the exactLattice oracle.
+func exactSentenceGradient(m *Model, in *Instance, g []float64) float64 {
+	n, S := in.Len(), m.S
+	e := exactForwardBackward(m, in)
 	acc := make([]*big.Float, len(g))
 	for k := range acc {
 		acc[k] = newExact()
@@ -296,8 +353,7 @@ func exactSentenceGradient(m *Model, in *Instance, g []float64) float64 {
 	for i := 0; i < n; i++ {
 		gold := m.stateFor(tagBefore(in, i), in.Tags[i])
 		for s := 0; s < S; s++ {
-			marg := newExact().Mul(alpha[i][s], beta[i][s])
-			marg.Quo(marg, z)
+			marg := e.marginal(i, s)
 			if s == gold {
 				marg.Sub(marg, newExact().SetInt64(1))
 			}
@@ -313,10 +369,10 @@ func exactSentenceGradient(m *Model, in *Instance, g []float64) float64 {
 		if i > 0 {
 			for p := 0; p < S; p++ {
 				for c := 0; c < S; c++ {
-					e := newExact().Mul(alpha[i-1][p], expT[p*S+c])
-					e.Mul(e, pot[i][c])
-					e.Mul(e, beta[i][c])
-					acc[nW+p*S+c].Add(acc[nW+p*S+c], e.Quo(e, z))
+					v := newExact().Mul(e.alpha[i-1][p], e.expT[p*S+c])
+					v.Mul(v, e.pot[i][c])
+					v.Mul(v, e.beta[i][c])
+					acc[nW+p*S+c].Add(acc[nW+p*S+c], v.Quo(v, e.z))
 				}
 			}
 			acc[nW+prev*S+gold].Sub(acc[nW+prev*S+gold], newExact().SetInt64(1))
@@ -326,11 +382,7 @@ func exactSentenceGradient(m *Model, in *Instance, g []float64) float64 {
 	for k := range g {
 		g[k], _ = acc[k].Float64()
 	}
-	mant := newExact()
-	e := z.MantExp(mant)
-	mf, _ := mant.Float64()
-	logZ := math.Log(mf) + float64(e)*math.Ln2
-	return logZ - m.pathScore(in, emit)
+	return e.logZ() - m.pathScore(in, e.emit)
 }
 
 // TestSentenceGradientDegenerate: transition weights that make every
@@ -355,6 +407,59 @@ func TestSentenceGradientDegenerate(t *testing.T) {
 			for i, v := range g {
 				if v != 0.25 {
 					t.Fatalf("order %d, T = %g: grad[%d] = %g, want it untouched", order, tw, i, v)
+				}
+			}
+		}
+	}
+}
+
+// TestPosteriorsDegenerate pins the inference kernel's behaviour on
+// weights that no trained model has: transitions that all underflow (−800)
+// or overflow (+800), and a NaN emission weight. The normaliser is then 0
+// or not finite, so every posterior row is uniform; LogLikelihood and
+// every n-best log-probability are NaN, and nothing panics.
+func TestPosteriorsDegenerate(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	const nf = 10
+	setT := func(w float64) func(*Model, *Instance) {
+		return func(m *Model, _ *Instance) {
+			for i := range m.T {
+				m.T[i] = w
+			}
+		}
+	}
+	cases := []struct {
+		bad   string
+		spoil func(*Model, *Instance)
+	}{
+		{"T = -800", setT(-800)},
+		{"T = +800", setT(800)},
+		{"NaN emission weight", func(m *Model, in *Instance) { m.W[int(in.Features[3][0])*m.S+1] = math.NaN() }},
+	}
+	for _, order := range []Order{Order1, Order2} {
+		for _, tc := range cases {
+			m := randomModel(rng, order, nf, true)
+			in := randomInstance(rng, 6, nf, true)
+			tc.spoil(m, in)
+			flat := make([]float64, in.Len()*corpus.NumTags)
+			if err := m.PosteriorsInto(in, flat); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range flat {
+				if v != 1.0/corpus.NumTags {
+					t.Fatalf("order %d, %s: posterior entry %d = %g, want uniform", order, tc.bad, i, v)
+				}
+			}
+			if ll := m.LogLikelihood(in); !math.IsNaN(ll) {
+				t.Errorf("order %d, %s: LogLikelihood %g, want NaN", order, tc.bad, ll)
+			}
+			paths := m.NBest(in, 3)
+			if len(paths) == 0 {
+				t.Fatalf("order %d, %s: NBest returned no paths", order, tc.bad)
+			}
+			for _, p := range paths {
+				if !math.IsNaN(p.LogProb) {
+					t.Errorf("order %d, %s: n-best log-probability %g, want NaN", order, tc.bad, p.LogProb)
 				}
 			}
 		}

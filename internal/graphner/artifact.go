@@ -565,6 +565,14 @@ func (a *Artifact) decodePayload(payload []byte) error {
 	if len(m.T) != m.S*m.S || len(m.Start) != m.S {
 		return fmt.Errorf("model has %d transition and %d start weights for %d states", len(m.T), len(m.Start), m.S)
 	}
+	for _, w := range []struct {
+		name string
+		vs   []float64
+	}{{"W", m.W}, {"T", m.T}, {"Start", m.Start}} {
+		if err := checkFinite("model "+w.name, w.vs); err != nil {
+			return err
+		}
+	}
 	a.model = m
 	// Alphabet.
 	a.names = b.strs()
@@ -654,6 +662,9 @@ func (a *Artifact) decodePayload(payload []byte) error {
 			return fmt.Errorf("graph edge target %d out of range [0,%d)", to, nv)
 		}
 	}
+	if err := checkFinite("graph edge weight", g.EdgeWeight); err != nil {
+		return err
+	}
 	g.Neighbors = make([][]graph.Edge, nv)
 	for v := 0; v < nv; v++ {
 		lo, hi := g.EdgeOffsets[v], g.EdgeOffsets[v+1]
@@ -669,6 +680,21 @@ func (a *Artifact) decodePayload(payload []byte) error {
 	a.graph = g
 	if want := nv * corpus.NumTags; len(a.beliefs) != want {
 		return fmt.Errorf("belief matrix has %d entries for %d vertices × %d tags", len(a.beliefs), nv, corpus.NumTags)
+	}
+	for i, v := range a.beliefs {
+		if !(v >= 0 && v <= 1) {
+			return fmt.Errorf("belief[%d] = %g is outside [0, 1]", i, v)
+		}
+	}
+	return nil
+}
+
+// checkFinite reports the first NaN or ±Inf entry of vs, naming it what[i].
+func checkFinite(what string, vs []float64) error {
+	for i, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%s[%d] = %g is not finite", what, i, v)
+		}
 	}
 	return nil
 }

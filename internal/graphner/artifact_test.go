@@ -2,6 +2,7 @@ package graphner
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/corpus/synth"
+	"repro/internal/crf"
 	"repro/internal/graph"
 	"repro/internal/tokenize"
 )
@@ -258,6 +260,35 @@ func TestArtifactReadFailures(t *testing.T) {
 	g.EdgeOffsets[0] = -3
 	badOffsets.graph = &g
 	wantReadError(t, &badOffsets, ident, "offsets start")
+
+	// Non-finite numbers, one case per numeric field the decoder reads
+	// into the model, the graph and the beliefs, and a belief outside
+	// [0, 1]. Each field is copied before it is spoiled.
+	spoil := func(vs []float64, i int, v float64) []float64 {
+		vs = append([]float64(nil), vs...)
+		vs[i] = v
+		return vs
+	}
+	for _, tc := range []struct {
+		field string
+		set   func(a *Artifact, m *crf.Model, g *graph.Graph)
+		want  string
+	}{
+		{"W", func(_ *Artifact, m *crf.Model, _ *graph.Graph) { m.W = spoil(m.W, 5, math.NaN()) }, "model W[5] = NaN is not finite"},
+		{"T", func(_ *Artifact, m *crf.Model, _ *graph.Graph) { m.T = spoil(m.T, 2, math.Inf(1)) }, "model T[2] = +Inf is not finite"},
+		{"Start", func(_ *Artifact, m *crf.Model, _ *graph.Graph) { m.Start = spoil(m.Start, 0, math.Inf(-1)) }, "model Start[0] = -Inf is not finite"},
+		{"edge weight", func(_ *Artifact, _ *crf.Model, g *graph.Graph) { g.EdgeWeight = spoil(g.EdgeWeight, 3, math.NaN()) }, "graph edge weight[3] = NaN is not finite"},
+		{"NaN belief", func(a *Artifact, _ *crf.Model, _ *graph.Graph) { a.beliefs = spoil(a.beliefs, 4, math.NaN()) }, "belief[4] = NaN is outside [0, 1]"},
+		{"belief above 1", func(a *Artifact, _ *crf.Model, _ *graph.Graph) { a.beliefs = spoil(a.beliefs, 7, 1.5) }, "belief[7] = 1.5 is outside [0, 1]"},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			bad := *art
+			m, g := *art.model, *art.graph
+			bad.model, bad.graph = &m, &g
+			tc.set(&bad, &m, &g)
+			wantReadError(t, &bad, ident, tc.want)
+		})
+	}
 
 	// A model-less artifact must fail at write time.
 	if _, err := (&Artifact{}).WriteTo(&bytes.Buffer{}); err == nil {

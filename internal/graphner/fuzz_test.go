@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"repro/internal/corpus"
@@ -61,7 +62,8 @@ func tinyArtifactPayload(f *testing.F) []byte {
 // and checksum, to ReadArtifact. Every input must either be refused with
 // an error or decode into an artifact that can be served: System
 // succeeds, the gold transitions can be estimated from the stored train
-// corpus, and every graph edge points at a vertex.
+// corpus, every graph edge points at a vertex, and every frozen
+// sentence's CRF posteriors are finite rows that sum to 1.
 func FuzzReadArtifact(f *testing.F) {
 	payload := tinyArtifactPayload(f)
 	for _, n := range []int{len(payload), len(payload) - 1, len(payload) / 2, len(payload) / 4, 64, 0} {
@@ -87,6 +89,21 @@ func FuzzReadArtifact(f *testing.F) {
 			for _, e := range es {
 				if e.To < 0 || int(e.To) >= g.NumVertices() {
 					t.Fatalf("vertex %d has edge to %d, outside [0,%d)", v, e.To, g.NumVertices())
+				}
+			}
+		}
+		comp, m := art.NewCompiler(nil), art.Model()
+		for _, s := range art.FrozenCorpus().Sentences {
+			for i, row := range m.Posteriors(comp.CompileSentence(s)) {
+				sum := 0.0
+				for _, v := range row {
+					if math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("sentence %q position %d: posterior row %v is not finite", s.ID, i, row)
+					}
+					sum += v
+				}
+				if math.Abs(sum-1) > 1e-9 {
+					t.Fatalf("sentence %q position %d: posterior row %v sums to %.17g", s.ID, i, row, sum)
 				}
 			}
 		}
