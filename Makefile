@@ -67,21 +67,24 @@ fuzz-smoke:
 # Fast performance-regression gate (<30s): the incremental-maintenance
 # smoke and golden tests, the bit-identity checks of the pair-once k-NN
 # search and the byte feature-counting pass (every feature mode) against
-# their reference implementations, the loss-schedule check of the
-# propagation kernel, the streaming contracts (the streamer's initial pass
-# equals System.Test, every fold equals a from-scratch fixed-sweep run and
-# a full re-decode, and batch schedules agree bit for bit), the scaled CRF
-# kernel against its log-space training reference and its pooled inference
-# (posteriors, log-likelihood) against a 256-bit oracle, L-BFGS against its
-# allocating reference loop, and the allocation guards on the propagation
-# sweeps, the byte-interning CRF compile, the pooled CRF decode paths and
-# the training kernel (testing.AllocsPerRun bounds compiled into the tests
-# themselves).
+# their reference implementations, the block-parallel counting pass at
+# Workers 1/2/3/8 and the Updater's count runs against a fresh count, the
+# block-parallel CRF compile against the serial one, the loss-schedule
+# check of the propagation kernel, the streaming contracts (the streamer's
+# initial pass equals System.Test, every fold equals a from-scratch
+# fixed-sweep run and a full re-decode, and batch schedules agree bit for
+# bit), the scaled CRF kernel against its log-space training reference and
+# its pooled inference (posteriors, log-likelihood) against a 256-bit
+# oracle, L-BFGS against its allocating reference loop and the objective's
+# fused gradient fold against the unfused one, and the allocation guards
+# on the propagation sweeps, the byte-interning CRF compile, the pooled
+# CRF decode paths and the training kernel (testing.AllocsPerRun bounds
+# compiled into the tests themselves).
 bench-smoke:
-	$(GO) test -run 'TestIncrementalSmoke|TestKNNIncrementalOneBatchGolden|TestPatchCSRMatchesBuildCSR|TestKNNMatchesReference|TestBuildFeatureModesMatchReference' -count=1 ./internal/graph
+	$(GO) test -run 'TestIncrementalSmoke|TestKNNIncrementalOneBatchGolden|TestPatchCSRMatchesBuildCSR|TestKNNMatchesReference|TestBuildFeatureModesMatchReference|TestBuildWorkersIdentical|TestUpdaterRunsMatchFreshCount' -count=1 ./internal/graph
 	$(GO) test -run 'TestSweepAllocGuard|TestLossEverySchedule' -count=1 ./internal/propagate
 	$(GO) test -run 'TestStreamerInitialMatchesTest|TestStreamerFoldMatchesFromScratch|TestStreamerBatchOrderInvariance' -count=1 ./internal/graphner
-	$(GO) test -run 'TestDecodeAllocGuard|TestPosteriorsAllocGuard|TestCompileSentenceAllocGuard|TestSentenceGradientAllocGuard|TestSentenceGradientMatchesReference|TestPooledInferenceMatchesExact|TestLBFGSMatchesReference' -count=1 ./internal/crf
+	$(GO) test -run 'TestDecodeAllocGuard|TestPosteriorsAllocGuard|TestCompileSentenceAllocGuard|TestSentenceGradientAllocGuard|TestSentenceGradientMatchesReference|TestPooledInferenceMatchesExact|TestLBFGSMatchesReference|TestObjectiveEvalMatchesReference|TestCompileMatchesSerial' -count=1 ./internal/crf
 
 # Linter self-benchmark: cold and warm whole-module graphnerlint runs
 # (wall time, packages analyzed, findings) written to BENCH_lint.json —

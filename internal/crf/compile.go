@@ -1,6 +1,7 @@
 package crf
 
 import (
+	"runtime"
 	"sync"
 
 	"repro/internal/corpus"
@@ -72,12 +73,33 @@ func (c *Compiler) CompileSentence(s *corpus.Sentence) *Instance {
 	return in
 }
 
-// Compile compiles every sentence of the corpus, in order.
+// Compile compiles every sentence of the corpus on up to GOMAXPROCS
+// goroutines. Blocks of sentences intern into block-local alphabets that
+// features.InternBlocks merges in order, so the instances and the
+// alphabet's ids are exactly those of compiling the sentences one after
+// another.
 func (c *Compiler) Compile(corp *corpus.Corpus) []*Instance {
 	out := make([]*Instance, len(corp.Sentences))
-	for i, s := range corp.Sentences {
-		out[i] = c.CompileSentence(s)
-	}
+	workers := runtime.GOMAXPROCS(0)
+	remap := features.InternBlocks(c.Alphabet, len(out), workers, func(b, lo, hi int, local *features.Alphabet) {
+		bc := &Compiler{Extractor: c.Extractor, Alphabet: local}
+		for i := lo; i < hi; i++ {
+			out[i] = bc.CompileSentence(corp.Sentences[i])
+		}
+	})
+	features.ForBlocks(len(out), workers, func(b, lo, hi int) {
+		m := remap[b]
+		if m == nil {
+			return
+		}
+		for _, in := range out[lo:hi] {
+			for _, ids := range in.Features {
+				for k, id := range ids {
+					ids[k] = m[id]
+				}
+			}
+		}
+	})
 	return out
 }
 

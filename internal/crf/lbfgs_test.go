@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/optimize"
@@ -276,6 +277,87 @@ func TestLBFGSMatchesReference(t *testing.T) {
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("%s: x[%d] = %v, reference %v", name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// referenceEval is objective.Eval as it was before its gradient fold was
+// fused: fresh zeroed worker buffers, the workers' NLLs summed, grad
+// zeroed, each buffer added in worker order, then the L2 penalty.
+func referenceEval(o *objective, x, grad []float64) float64 {
+	m := o.view(x)
+	bufs := make([][]float64, o.workers)
+	for w := range bufs {
+		bufs[w] = make([]float64, len(x))
+	}
+	o.potentials(&m)
+	nlls := make([]float64, o.workers)
+	var wg sync.WaitGroup
+	for w := 0; w < o.workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			gm := o.view(bufs[w])
+			var nll float64
+			for i := w; i < len(o.data); i += o.workers {
+				nll += sentenceGradient(&m, o.expT, o.expStart, o.data[i], gm.W, gm.T, gm.Start)
+			}
+			nlls[w] = nll
+		}(w)
+	}
+	wg.Wait()
+	var f float64
+	for _, v := range nlls {
+		f += v
+	}
+	for i := range grad {
+		grad[i] = 0
+	}
+	for _, b := range bufs {
+		for i, v := range b {
+			grad[i] += v
+		}
+	}
+	for i, v := range x {
+		f += 0.5 * o.l2 * v * v
+		grad[i] += o.l2 * v
+	}
+	return f
+}
+
+// TestObjectiveEvalMatchesReference pins objective.Eval's fused fold to
+// the unfused loop bit for bit — objective and gradient, at orders 1 and
+// 2 with 1 to 3 workers — over successive calls on one objective, so a
+// worker buffer left dirty by one call shows up in the next.
+func TestObjectiveEvalMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var data []*Instance
+	for i := 0; i < 25; i++ {
+		data = append(data, randomInstance(rng, 1+rng.Intn(15), 20, true))
+	}
+	for _, order := range []Order{Order1, Order2} {
+		for workers := 1; workers <= 3; workers++ {
+			S := numStates(order)
+			mk := func() *objective {
+				return &objective{data: data, tmpl: Model{Order: order, NumFeatures: 20, S: S, BIO: true}, l2: 0.3, workers: workers}
+			}
+			got, ref := mk(), mk()
+			x := make([]float64, 20*S+S*S+S)
+			g, want := make([]float64, len(x)), make([]float64, len(x))
+			for call := 0; call < 3; call++ {
+				for i := range x {
+					x[i] = rng.NormFloat64()
+				}
+				f, fWant := got.Eval(x, g), referenceEval(ref, x, want)
+				if math.Float64bits(f) != math.Float64bits(fWant) {
+					t.Fatalf("order %d, %d workers, call %d: f = %v, reference %v", order, workers, call, f, fWant)
+				}
+				for i := range want {
+					if math.Float64bits(g[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("order %d, %d workers, call %d: grad[%d] = %v, reference %v", order, workers, call, i, g[i], want[i])
+					}
+				}
 			}
 		}
 	}

@@ -133,14 +133,10 @@ func (o *objective) view(x []float64) Model {
 func (o *objective) Eval(x, grad []float64) float64 {
 	m := o.view(x)
 	if o.gradBufs == nil {
+		// Zeroed here, and re-zeroed by the fold below as it reads them.
 		o.gradBufs = make([][]float64, o.workers)
 		for w := range o.gradBufs {
 			o.gradBufs[w] = make([]float64, len(x))
-		}
-	}
-	for _, b := range o.gradBufs {
-		for i := range b {
-			b[i] = 0
 		}
 	}
 	o.potentials(&m)
@@ -165,18 +161,19 @@ func (o *objective) Eval(x, grad []float64) float64 {
 	for _, v := range nlls {
 		f += v
 	}
-	for i := range grad {
-		grad[i] = 0
-	}
-	for _, b := range o.gradBufs {
-		for i, v := range b {
-			grad[i] += v
-		}
-	}
-	// L2 penalty.
+	// One pass folds the workers' gradients in worker order, adds the L2
+	// penalty's gradient and objective terms, and zeroes the buffers for
+	// the next call: per element the same additions in the same order as
+	// zeroing grad, summing each buffer, then adding the penalty.
+	l2 := o.l2
 	for i, v := range x {
-		f += 0.5 * o.l2 * v * v
-		grad[i] += o.l2 * v
+		var g float64
+		for _, b := range o.gradBufs {
+			g += b[i]
+			b[i] = 0
+		}
+		f += 0.5 * l2 * v * v
+		grad[i] = g + l2*v
 	}
 	return f
 }

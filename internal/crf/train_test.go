@@ -7,10 +7,12 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/corpus/synth"
 	"repro/internal/features"
+	"repro/internal/optimize"
 	"repro/internal/race"
 	"repro/internal/tokenize"
 )
@@ -731,4 +733,46 @@ func BenchmarkTrain(b *testing.B) {
 			}
 		})
 	}
+}
+
+// timedObjective adds up the wall time its inner objective spends in Eval.
+type timedObjective struct {
+	inner optimize.Objective
+	spent time.Duration
+}
+
+func (o *timedObjective) Eval(x, grad []float64) float64 {
+	start := time.Now()
+	f := o.inner.Eval(x, grad)
+	o.spent += time.Since(start)
+	return f
+}
+
+// BenchmarkTrainCRF splits a pipeline-scale train — the 900-sentence
+// split, order 1, 40 L-BFGS iterations, two gradient workers, the options
+// Train passes — into the objective's time (eval_ms: NLL and gradient,
+// the workers' fold and the L2 term) and the optimizer's own vector
+// algebra (lbfgs_ms), per train. The two add up to crf.train.
+func BenchmarkTrainCRF(b *testing.B) {
+	data, nf := benchData()
+	S := numStates(Order1)
+	var total, eval time.Duration
+	for i := 0; i < b.N; i++ {
+		obj := &timedObjective{inner: &objective{
+			data:    data,
+			tmpl:    Model{Order: Order1, NumFeatures: nf, S: S, BIO: true},
+			l2:      1,
+			workers: 2,
+		}}
+		x := make([]float64, nf*S+S*S+S)
+		start := time.Now()
+		if _, err := optimize.LBFGS(obj, x, optimize.LBFGSOptions{MaxIterations: 40, FuncTol: 1e-7}); err != nil {
+			b.Fatal(err)
+		}
+		total += time.Since(start)
+		eval += obj.spent
+	}
+	perTrain := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(b.N) }
+	b.ReportMetric(perTrain(eval), "eval_ms")
+	b.ReportMetric(perTrain(total-eval), "lbfgs_ms")
 }

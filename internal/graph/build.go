@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -185,28 +186,38 @@ type sparseVec struct {
 	norm float64
 }
 
-// vertexVectors aggregates per-occurrence feature counts per 3-gram and
-// converts them to PPMI vectors. It also returns the raw counts, per-vertex
-// totals, and the corpus statistics so the incremental Updater can retain
-// them; Build discards those extras.
-func vertexVectors(corp *corpus.Corpus, cfg BuilderConfig) ([]sparseVec, []corpus.NGram, []map[int32]float64, []float64, *Stats) {
+// vertexVectors counts each 3-gram's feature co-occurrences and converts
+// them to PPMI vectors. It also returns the counts as per-vertex sorted
+// runs, the per-vertex totals, and the corpus statistics so the
+// incremental Updater can retain them; Build discards those extras.
+func vertexVectors(corp *corpus.Corpus, cfg BuilderConfig) ([]sparseVec, []corpus.NGram, [][]featRun, []float64, *Stats) {
 	verts := corp.UniqueTrigrams()
 	index := make(map[corpus.NGram]int, len(verts))
 	for i, v := range verts {
 		index[v] = i
 	}
-	counts, vertTotal, st := countFeatures(corp, cfg, index, len(verts))
+	runs, vertTotal, st := countFeatures(corp, cfg, index, len(verts))
 	vecs := make([]sparseVec, len(verts))
 	if st.grand == 0 {
 		// Possible in MIFeatures mode when the threshold excludes every
 		// feature, or under a degenerate frozen snapshot: the graph
 		// degenerates to isolated vertices.
-		return vecs, verts, counts, vertTotal, st
+		return vecs, verts, runs, vertTotal, st
 	}
-	for vi := range verts {
-		vecs[vi] = ppmiVec(counts[vi], vertTotal[vi], st)
+	// One flat backing per field: vertex vi's PPMI entries are a prefix of
+	// its runs' span.
+	off := make([]int, len(verts)+1)
+	for vi, r := range runs {
+		off[vi+1] = off[vi] + len(r)
 	}
-	return vecs, verts, counts, vertTotal, st
+	ids := make([]int32, off[len(verts)])
+	vals := make([]float64, off[len(verts)])
+	features.ForBlocks(len(verts), cfg.Workers, func(_, lo, hi int) {
+		for vi := lo; vi < hi; vi++ {
+			vecs[vi] = ppmiVec(runs[vi], vertTotal[vi], st, ids[off[vi]:off[vi+1]], vals[off[vi]:off[vi+1]])
+		}
+	})
+	return vecs, verts, runs, vertTotal, st
 }
 
 // featureEnum enumerates the per-position feature instances of the
@@ -271,17 +282,19 @@ func (fe *featureEnum) position(i int, fn func(f []byte)) {
 	})
 }
 
-// countFeatures runs the co-occurrence counting pass. With cfg.Stats nil it
-// accumulates fresh statistics and freezes them into the returned snapshot;
-// with cfg.Stats set it counts under the frozen snapshot — the alphabet,
-// featTotal, and grand are left untouched and features outside the frozen
-// space are skipped (they contribute neither to counts nor to vertTotal).
-func countFeatures(corp *corpus.Corpus, cfg BuilderConfig, index map[corpus.NGram]int, nVerts int) ([]map[int32]float64, []float64, *Stats) {
-	counts := make([]map[int32]float64, nVerts)
-	for i := range counts {
-		counts[i] = make(map[int32]float64, 8)
-	}
-	vertTotal := make([]float64, nVerts)
+// featRun is one run of a vertex's co-occurrence counts: feature id and
+// the number of times it occurred at the vertex.
+type featRun struct {
+	id, n int32
+}
+
+// countFeatures runs the co-occurrence counting pass over corp, whose
+// 3-grams index numbers. With cfg.Stats nil it accumulates fresh
+// statistics and freezes them into the returned snapshot; with cfg.Stats
+// set it counts under the frozen snapshot — the alphabet, featTotal, and
+// grand are left untouched and features outside the frozen space are
+// skipped (they contribute neither to runs nor to vertTotal).
+func countFeatures(corp *corpus.Corpus, cfg BuilderConfig, index map[corpus.NGram]int, nVerts int) ([][]featRun, []float64, *Stats) {
 	st := cfg.Stats
 	fresh := st == nil
 	if fresh {
@@ -290,60 +303,221 @@ func countFeatures(corp *corpus.Corpus, cfg BuilderConfig, index map[corpus.NGra
 			st.miKeep = miSelect(corp, cfg)
 		}
 	}
-	enum := newFeatureEnum(cfg, st.miKeep)
-	addFeat := func(vi int, f []byte) {
-		id := st.alphabet.LookupBytes(f)
-		if id < 0 {
-			return // outside the frozen feature space
-		}
-		counts[vi][int32(id)]++
-		if fresh {
-			for id >= len(st.featTotal) {
-				st.featTotal = append(st.featTotal, 0)
-			}
-			st.featTotal[id]++
-			st.grand++
-		}
-		vertTotal[vi]++
-	}
-	for _, s := range corp.Sentences {
-		words := s.Words()
-		enum.reset(words)
-		for i := range words {
-			vi := index[corpus.Trigram(words, i)]
-			enum.position(i, func(f []byte) { addFeat(vi, f) })
-		}
-	}
+	runs, vertTotal := countRuns(corp.Sentences, cfg, st, fresh, nVerts, func(words []string, i int) int32 {
+		return int32(index[corpus.Trigram(words, i)])
+	})
 	if fresh {
 		st.alphabet.Freeze()
 	}
-	return counts, vertTotal, st
+	return runs, vertTotal, st
 }
 
-// ppmiVec converts one vertex's raw co-occurrence counts into its PPMI
-// vector under the corpus statistics st:
-// pmi = log(c(v,f)·N / (c(v)·c(f))), clamped at 0. Build's batch transform
-// and the Updater's per-vertex recompute share this function, which is what
-// makes incremental rows bit-identical to from-scratch ones.
-func ppmiVec(m map[int32]float64, total float64, st *Stats) sparseVec {
-	ids := make([]int32, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
+// countBlock is one block of sentences' share of the counting pass: per
+// token, in corpus order, its vertex and the end of its feature ids in
+// feats (block-local ids while the block's alphabet is local); per local
+// feature id its occurrences; per vertex its number of (vertex, feature)
+// pairs, turned into the block's scatter cursor once all blocks are done.
+type countBlock struct {
+	tokVert, tokEnd []int32
+	feats           []int32
+	featN           []int32
+	vertN           []int32
+}
+
+// countRuns is the counting pass Build and the Updater share. Each of
+// cfg.Workers goroutines takes a contiguous block of sentences and records
+// (vertex, feature) pairs against a block-local alphabet
+// (features.InternBlocks, which merges the alphabets in block order, so
+// feature ids stay first-occurrence ids in corpus order). A counting sort
+// by vertex gathers every vertex's features into one span, and a sort and
+// run-length encoding of each span gives that vertex's runs in ascending
+// feature order. vertexOf maps a token to its vertex in [0, nVerts). With
+// fresh set, the pass interns into st.alphabet and accumulates
+// st.featTotal and st.grand; otherwise st is only read. Counts are
+// integers, exact in float64, so every total has the bits a per-pair
+// increment would give it, whatever the worker count.
+func countRuns(sents []*corpus.Sentence, cfg BuilderConfig, st *Stats, fresh bool, nVerts int, vertexOf func(words []string, i int) int32) ([][]featRun, []float64) {
+	workers := cfg.Workers
+	if workers < 1 {
+		workers = 1
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	vals := make([]float64, 0, len(ids))
-	keep := ids[:0]
+	blocks := make([]countBlock, workers)
+	remap := features.InternBlocks(st.alphabet, len(sents), workers, func(b, lo, hi int, alpha *features.Alphabet) {
+		cb := &blocks[b]
+		toks := 0
+		for _, s := range sents[lo:hi] {
+			toks += len(s.Tokens)
+		}
+		cb.tokVert = make([]int32, 0, toks)
+		cb.tokEnd = make([]int32, 0, toks)
+		cb.vertN = make([]int32, nVerts)
+		enum := newFeatureEnum(cfg, st.miKeep)
+		emit := func(f []byte) {
+			id := alpha.LookupBytes(f)
+			if id < 0 {
+				return // outside the frozen feature space
+			}
+			cb.feats = append(cb.feats, int32(id))
+			if fresh {
+				for id >= len(cb.featN) {
+					cb.featN = append(cb.featN, 0)
+				}
+				cb.featN[id]++
+			}
+		}
+		reserved := false
+		for _, s := range sents[lo:hi] {
+			words := s.Words()
+			enum.reset(words)
+			for i := range words {
+				v := vertexOf(words, i)
+				before := len(cb.feats)
+				enum.position(i, emit)
+				cb.tokVert = append(cb.tokVert, v)
+				cb.tokEnd = append(cb.tokEnd, int32(len(cb.feats)))
+				cb.vertN[v] += int32(len(cb.feats) - before)
+			}
+			// Once a sixteenth of the block is counted, reserve room for
+			// the rest at the observed rate plus an eighth, so the pair
+			// buffer is not regrown in 1.25× steps.
+			if seen := len(cb.tokVert); !reserved && 16*seen >= toks {
+				reserved = true
+				if want := len(cb.feats) * toks / seen * 9 / 8; want > cap(cb.feats) {
+					cb.feats = slices.Grow(cb.feats, want-len(cb.feats))
+				}
+			}
+		}
+	})
+	nb := len(remap)
+	blocks = blocks[:nb]
+
+	if fresh {
+		st.featTotal = make([]float64, st.alphabet.Len())
+		for b := range blocks {
+			for id, c := range blocks[b].featN {
+				if remap[b] != nil {
+					id = int(remap[b][id])
+				}
+				st.featTotal[id] += float64(c)
+			}
+		}
+	}
+	// Counting sort by vertex: vertex v's pairs land in
+	// flat[off[v]:off[v+1]], block by block in corpus order.
+	off := make([]int, nVerts+1)
+	for v := 0; v < nVerts; v++ {
+		pos := off[v]
+		for b := range blocks {
+			c := int(blocks[b].vertN[v])
+			blocks[b].vertN[v] = int32(pos)
+			pos += c
+		}
+		off[v+1] = pos
+	}
+	if fresh {
+		st.grand = float64(off[nVerts])
+	}
+	flat := make([]int32, off[nVerts])
+	features.ForBlocks(len(sents), nb, func(b, _, _ int) {
+		cb, m := &blocks[b], remap[b]
+		start := int32(0)
+		for t, v := range cb.tokVert {
+			p := cb.vertN[v]
+			for _, id := range cb.feats[start:cb.tokEnd[t]] {
+				if m != nil {
+					id = m[id]
+				}
+				flat[p] = id
+				p++
+			}
+			cb.vertN[v] = p
+			start = cb.tokEnd[t]
+		}
+	})
+
+	// Sort each vertex's span and count its distinct features, then
+	// run-length encode the spans into one backing of exactly that size.
+	runOff := make([]int, nVerts+1)
+	features.ForBlocks(nVerts, workers, func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			span := flat[off[v]:off[v+1]]
+			slices.Sort(span)
+			d := 0
+			for k, id := range span {
+				if k == 0 || id != span[k-1] {
+					d++
+				}
+			}
+			runOff[v+1] = d
+		}
+	})
+	for v := 0; v < nVerts; v++ {
+		runOff[v+1] += runOff[v]
+	}
+	runs := make([][]featRun, nVerts)
+	vertTotal := make([]float64, nVerts)
+	buf := make([]featRun, runOff[nVerts])
+	features.ForBlocks(nVerts, workers, func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			span := flat[off[v]:off[v+1]]
+			vertTotal[v] = float64(len(span))
+			out := buf[runOff[v]:runOff[v]:runOff[v+1]]
+			for k, id := range span {
+				if k == 0 || id != span[k-1] {
+					out = append(out, featRun{id: id})
+				}
+				out[len(out)-1].n++
+			}
+			if len(out) > 0 {
+				runs[v] = out
+			}
+		}
+	})
+	return runs, vertTotal
+}
+
+// mergeRuns returns the runs of the summed counts of two run lists, each
+// in ascending feature order.
+func mergeRuns(a, b []featRun) []featRun {
+	out := make([]featRun, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].id < b[j].id:
+			out = append(out, a[i])
+			i++
+		case a[i].id > b[j].id:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, featRun{id: a[i].id, n: a[i].n + b[j].n})
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
+}
+
+// ppmiVec converts one vertex's runs into its PPMI vector under the corpus
+// statistics st: pmi = log(c(v,f)·N / (c(v)·c(f))), clamped at 0. The
+// vector's entries are written to ids and vals, which must hold len(runs)
+// entries. Build's batch transform and the Updater's per-vertex recompute
+// share this function, which is what makes incremental rows bit-identical
+// to from-scratch ones.
+func ppmiVec(runs []featRun, total float64, st *Stats, ids []int32, vals []float64) sparseVec {
+	k := 0
 	var norm float64
-	for _, id := range ids {
-		pmi := math.Log(m[id] * st.grand / (total * st.featTotal[id]))
+	for _, r := range runs {
+		pmi := math.Log(float64(r.n) * st.grand / (total * st.featTotal[r.id]))
 		if pmi <= 0 {
 			continue
 		}
-		keep = append(keep, id)
-		vals = append(vals, pmi)
+		ids[k], vals[k] = r.id, pmi
+		k++
 		norm += pmi * pmi
 	}
-	return sparseVec{ids: keep, vals: vals, norm: math.Sqrt(norm)}
+	return sparseVec{ids: ids[:k:k], vals: vals[:k:k], norm: math.Sqrt(norm)}
 }
 
 // MIFeatureCount reports how many features pass the MI threshold of the

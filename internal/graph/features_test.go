@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/corpus"
@@ -175,7 +176,7 @@ func TestBuildFeatureModesMatchReference(t *testing.T) {
 		}
 		refVecs := make([]sparseVec, len(refCounts))
 		for vi := range refCounts {
-			refVecs[vi] = ppmiVec(refCounts[vi], refTotal[vi], st)
+			refVecs[vi] = referencePPMIVec(refCounts[vi], refTotal[vi], st)
 		}
 		assertRowsIdentical(t, tc.name+" edges", g.Neighbors, knnReference(refVecs, cfg))
 
@@ -183,6 +184,29 @@ func TestBuildFeatureModesMatchReference(t *testing.T) {
 		frozen.Stats, frozen.Tags = st, nil
 		assertCountsMatchReference(t, tc.name+" frozen", more, frozen)
 	}
+}
+
+// referencePPMIVec is the PPMI transform over a count map, as it was
+// before the counting pass produced sorted runs.
+func referencePPMIVec(m map[int32]float64, total float64, st *Stats) sparseVec {
+	ids := make([]int32, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	vals := make([]float64, 0, len(ids))
+	keep := ids[:0]
+	var norm float64
+	for _, id := range ids {
+		pmi := math.Log(m[id] * st.grand / (total * st.featTotal[id]))
+		if pmi <= 0 {
+			continue
+		}
+		keep = append(keep, id)
+		vals = append(vals, pmi)
+		norm += pmi * pmi
+	}
+	return sparseVec{ids: keep, vals: vals, norm: math.Sqrt(norm)}
 }
 
 // assertCountsMatchReference compares countFeatures with
@@ -196,22 +220,33 @@ func assertCountsMatchReference(t *testing.T, tag string, corp *corpus.Corpus, c
 	for i, v := range verts {
 		index[v] = i
 	}
-	counts, total, st := countFeatures(corp, cfg, index, len(verts))
+	runs, total, st := countFeatures(corp, cfg, index, len(verts))
 	refCounts, refTotal, refSt := referenceCountFeatures(corp, cfg, index, len(verts))
 	assertStatsIdentical(t, tag, st, refSt)
+	assertRunsMatchCounts(t, tag, verts, runs, total, refCounts, refTotal, refSt)
+	return refSt, refCounts, refTotal
+}
+
+// assertRunsMatchCounts checks per-vertex runs and totals against count
+// maps: the same totals bit for bit, and runs in strictly ascending
+// feature order holding exactly the map's counts.
+func assertRunsMatchCounts(t *testing.T, tag string, verts []corpus.NGram, runs [][]featRun, total []float64, refCounts []map[int32]float64, refTotal []float64, st *Stats) {
+	t.Helper()
 	for vi := range verts {
-		if math.Float64bits(total[vi]) != math.Float64bits(refTotal[vi]) || len(counts[vi]) != len(refCounts[vi]) {
+		if math.Float64bits(total[vi]) != math.Float64bits(refTotal[vi]) || len(runs[vi]) != len(refCounts[vi]) {
 			t.Fatalf("%s: vertex %q: total %v over %d features, reference %v over %d",
-				tag, verts[vi], total[vi], len(counts[vi]), refTotal[vi], len(refCounts[vi]))
+				tag, verts[vi], total[vi], len(runs[vi]), refTotal[vi], len(refCounts[vi]))
 		}
-		for id, c := range refCounts[vi] {
-			if counts[vi][id] != c {
+		for k, r := range runs[vi] {
+			if k > 0 && runs[vi][k-1].id >= r.id {
+				t.Fatalf("%s: vertex %q: runs not in ascending feature order at %d", tag, verts[vi], k)
+			}
+			if c := refCounts[vi][r.id]; float64(r.n) != c {
 				t.Fatalf("%s: vertex %q feature %q: count %v, reference %v",
-					tag, verts[vi], refSt.alphabet.Name(int(id)), counts[vi][id], c)
+					tag, verts[vi], st.alphabet.Name(int(r.id)), r.n, c)
 			}
 		}
 	}
-	return refSt, refCounts, refTotal
 }
 
 // assertStatsIdentical compares two corpus statistics snapshots: the

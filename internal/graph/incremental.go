@@ -15,8 +15,8 @@ import (
 // sentences stream in, instead of rebuilding it from scratch. It retains
 // the state a full Build computes and throws away — the inverted index
 // (postings), the per-vertex PPMI sparse vectors, and the raw
-// co-occurrence counts — and on AddSentences recomputes only the rows
-// whose top-K lists can actually change.
+// co-occurrence counts as sorted runs — and on AddSentences recomputes
+// only the rows whose top-K lists can actually change.
 //
 // Correctness contract: corpus-level PPMI statistics (feature alphabet,
 // featTotal, grand total, MI feature selection) are frozen at the base
@@ -36,11 +36,11 @@ type Updater struct {
 	st  *Stats
 	g   *Graph
 
-	counts    []map[int32]float64 // per-vertex raw co-occurrence counts
-	vertTotal []float64           // per-vertex total count c(v)
-	vecs      []sparseVec         // per-vertex PPMI vectors
-	postings  [][]posting         // per-feature postings, ascending vertex id
-	prevDF    []int               // scratch: pre-batch df of affected features
+	runs      [][]featRun // per-vertex raw co-occurrence counts, ascending feature id
+	vertTotal []float64   // per-vertex total count c(v)
+	vecs      []sparseVec // per-vertex PPMI vectors
+	postings  [][]posting // per-feature postings, ascending vertex id
+	prevDF    []int       // scratch: pre-batch df of affected features
 
 	// rows holds the internal ranked candidate list per vertex; the
 	// graph row is its length-K prefix. The extra entries beyond K (up
@@ -61,8 +61,6 @@ type Updater struct {
 	// inverse. They supply topK's canonical tie-break (see topK).
 	sorted []int32
 	rank   []int32
-
-	enum *featureEnum
 }
 
 // knnReserve is the number of ranked candidates each Updater row keeps
@@ -129,7 +127,7 @@ func NewUpdater(base *corpus.Corpus, cfg BuilderConfig) (*Updater, error) {
 		}
 	}
 
-	vecs, verts, counts, vertTotal, st := vertexVectors(base, cfg)
+	vecs, verts, runs, vertTotal, st := vertexVectors(base, cfg)
 	cfg.Stats = st
 	cfg.Tags = nil // consumed by the snapshot's MI selection
 	// Search K+knnReserve wide: the graph rows are the K prefixes (topK's
@@ -163,12 +161,11 @@ func NewUpdater(base *corpus.Corpus, cfg BuilderConfig) (*Updater, error) {
 		cfg:       cfg,
 		st:        st,
 		g:         g,
-		counts:    counts,
+		runs:      runs,
 		vertTotal: vertTotal,
 		vecs:      vecs,
 		rows:      rows,
 		complete:  complete,
-		enum:      newFeatureEnum(cfg, st.miKeep),
 	}
 	// Per-feature postings over the frozen feature space, ascending
 	// vertex id (base vertices are appended in id order).
@@ -213,13 +210,14 @@ func (u *Updater) AddSentences(sents []*corpus.Sentence) (UpdateResult, error) {
 	g := u.g
 	oldN := len(g.Vertices)
 
-	// Pass 1: register new vertices, accumulate counts, collect the
-	// changed set (vertices with new occurrences) in first-touch order.
+	// Pass 1: register new vertices, collect the changed set (vertices
+	// with new occurrences) in first-touch order, then count the batch
+	// with Build's counting pass and merge its runs into the changed
+	// vertices' runs.
 	isChanged := make([]bool, oldN)
 	changed := make([]int32, 0, 64)
 	for _, s := range sents {
 		words := s.Words()
-		u.enum.reset(words)
 		for i := range words {
 			ng := corpus.Trigram(words, i)
 			vi, ok := g.Index[ng]
@@ -230,7 +228,7 @@ func (u *Updater) AddSentences(sents []*corpus.Sentence) (UpdateResult, error) {
 				g.Neighbors = append(g.Neighbors, nil)
 				u.rows = append(u.rows, nil)
 				u.complete = append(u.complete, false)
-				u.counts = append(u.counts, make(map[int32]float64, 8))
+				u.runs = append(u.runs, nil)
 				u.vertTotal = append(u.vertTotal, 0)
 				u.vecs = append(u.vecs, sparseVec{})
 				isChanged = append(isChanged, false)
@@ -239,20 +237,18 @@ func (u *Updater) AddSentences(sents []*corpus.Sentence) (UpdateResult, error) {
 				isChanged[vi] = true
 				changed = append(changed, int32(vi))
 			}
-			v := vi
-			u.enum.position(i, func(f []byte) {
-				id := u.st.alphabet.LookupBytes(f)
-				if id < 0 {
-					return // outside the frozen feature space
-				}
-				u.counts[v][int32(id)]++
-				u.vertTotal[v]++
-			})
 		}
 	}
 	n := len(g.Vertices)
 	res.NewVertices = n - oldN
 	res.UpdatedVertices = len(changed) - res.NewVertices
+	batchRuns, batchTotal := countRuns(sents, u.cfg, u.st, false, n, func(words []string, i int) int32 {
+		return int32(g.Index[corpus.Trigram(words, i)])
+	})
+	for _, vi := range changed {
+		u.runs[vi] = mergeRuns(u.runs[vi], batchRuns[vi])
+		u.vertTotal[vi] += batchTotal[vi]
+	}
 
 	// Pass 2: recompute changed vectors and edit the postings index,
 	// recording every affected feature with its pre-batch document
@@ -269,7 +265,8 @@ func (u *Updater) AddSentences(sents []*corpus.Sentence) (UpdateResult, error) {
 	}
 	for _, vi := range changed {
 		old := u.vecs[vi]
-		nv := ppmiVec(u.counts[vi], u.vertTotal[vi], u.st)
+		r := u.runs[vi]
+		nv := ppmiVec(r, u.vertTotal[vi], u.st, make([]int32, len(r)), make([]float64, len(r)))
 		u.vecs[vi] = nv
 		for _, id := range old.ids {
 			markFeat(id)
@@ -768,8 +765,8 @@ func (u *Updater) removePosting(f, v int32) {
 func (u *Updater) Clone() *Updater {
 	c := &Updater{
 		cfg:       u.cfg,
-		st:        u.st, // frozen, safely shared
-		counts:    make([]map[int32]float64, len(u.counts)),
+		st:        u.st,                                // frozen, safely shared
+		runs:      append([][]featRun(nil), u.runs...), // replaced on change, never written in place
 		vertTotal: append([]float64(nil), u.vertTotal...),
 		vecs:      append([]sparseVec(nil), u.vecs...),
 		rows:      append([][]Edge(nil), u.rows...),
@@ -777,14 +774,6 @@ func (u *Updater) Clone() *Updater {
 		postings:  make([][]posting, len(u.postings)),
 		sorted:    append([]int32(nil), u.sorted...),
 		rank:      append([]int32(nil), u.rank...),
-		enum:      newFeatureEnum(u.cfg, u.st.miKeep),
-	}
-	for i, m := range u.counts {
-		cm := make(map[int32]float64, len(m))
-		for k, v := range m {
-			cm[k] = v
-		}
-		c.counts[i] = cm
 	}
 	for f, pl := range u.postings {
 		c.postings[f] = append([]posting(nil), pl...)

@@ -149,12 +149,13 @@ func knnBenchVecs(b *testing.B) []sparseVec {
 	return vecs
 }
 
-// BenchmarkVertexVectors times graph.Build's serial pass before the k-NN
-// search: feature extraction and counting per 3-gram, then the PPMI
-// transform, on the corpus BenchmarkKNN's vectors come from.
+// BenchmarkVertexVectors times graph.Build's pass before the k-NN search —
+// the block-parallel feature extraction and counting per 3-gram, then the
+// PPMI transform — on the corpus BenchmarkKNN's vectors come from, with
+// Workers = GOMAXPROCS as Build defaults it (run with -cpu 1,2).
 func BenchmarkVertexVectors(b *testing.B) {
 	c := knnBenchCorpus()
-	cfg := BuilderConfig{Extractor: features.NewExtractor(nil)}
+	cfg := BuilderConfig{Extractor: features.NewExtractor(nil), Workers: runtime.GOMAXPROCS(0)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		vertexVectors(c, cfg)

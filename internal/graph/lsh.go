@@ -8,7 +8,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
+
+	"repro/internal/features"
 )
 
 // The paper's conclusion flags the scalability of graph construction as an
@@ -235,7 +236,7 @@ func newLSHIndex(vecs []sparseVec, lsh LSHConfig) *lshIndex {
 	// plane over the vector's features (branchless — a mispredicted
 	// sign branch per plane would dominate), threshold at 0, and record
 	// each band's two least-confident planes for directed probing.
-	parallelBlocks(n, lsh.Workers, func(lo, hi int) {
+	features.ForBlocks(n, lsh.Workers, func(_, lo, hi int) {
 		acc := make([]float64, planes)
 		for vi := lo; vi < hi; vi++ {
 			v := &vecs[vi]
@@ -523,7 +524,7 @@ func knnLSH(vecs []sparseVec, cfg BuilderConfig, lsh LSHConfig) [][]Edge {
 	}
 	ix := newLSHIndex(vecs, lsh)
 	out := make([][]Edge, n)
-	parallelBlocks(n, lsh.Workers, func(lo, hi int) {
+	features.ForBlocks(n, lsh.Workers, func(_, lo, hi int) {
 		s := ix.newScratch(rerank)
 		for vi := lo; vi < hi; vi++ {
 			q := &vecs[vi]
@@ -627,7 +628,7 @@ func refineNeighbors(vecs []sparseVec, prev [][]Edge, prevIsNew [][]bool, k, wor
 
 	next := make([][]Edge, n)
 	nextIsNew := make([][]bool, n)
-	parallelBlocks(n, workers, func(lo, hi int) {
+	features.ForBlocks(n, workers, func(_, lo, hi int) {
 		qdense := make([]float64, nf)
 		seen := make([]int32, n)
 		inPrev := make([]int32, n)
@@ -698,32 +699,6 @@ func refineNeighbors(vecs []sparseVec, prev [][]Edge, prevIsNew [][]bool, k, wor
 		}
 	})
 	return next, nextIsNew
-}
-
-// parallelBlocks runs fn over contiguous index blocks [lo, hi) covering
-// [0, n), one block per worker: better locality than striding, and each
-// out[vi] is written by exactly one goroutine.
-func parallelBlocks(n, workers int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := n*w/workers, n*(w+1)/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // Recall measures the fraction of exact k-NN edges recovered by an

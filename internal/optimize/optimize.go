@@ -69,7 +69,8 @@ func LBFGS(obj Objective, x []float64, opts LBFGSOptions) (float64, error) {
 	m := opts.Memory
 	sHist := make([][]float64, 0, m) // x_{k+1} - x_k
 	yHist := make([][]float64, 0, m) // g_{k+1} - g_k
-	rhoHist := make([]float64, 0, m)
+	syHist := make([]float64, 0, m)  // sᵀy; ρ = 1 / sᵀy
+	yyHist := make([]float64, 0, m)  // yᵀy
 
 	// free holds the n-vectors of correction pairs that were evicted,
 	// rejected or reset, for the next pair to reuse: the history costs at
@@ -88,46 +89,96 @@ func LBFGS(obj Objective, x []float64, opts LBFGSOptions) (float64, error) {
 	xNew := make([]float64, n)
 	gradNew := make([]float64, n)
 	alphaBuf := make([]float64, m)
+	gNorm := maxNorm(grad)
 
 	for iter := 0; iter < opts.MaxIterations; iter++ {
-		if maxNorm(grad) < opts.GradTol {
+		if gNorm < opts.GradTol {
 			break
 		}
 
-		// Two-loop recursion: dir = -H·grad.
-		copy(dir, grad)
+		// Two-loop recursion, dir = -H·grad, in 2k+1 passes over the
+		// vectors: each pass finishes one update of dir and, on the same
+		// elements, starts the dot product the next update needs. Every
+		// element sees the unfused loop's operations in the unfused order,
+		// so dir is bit-identical to copy, k×(dot, axpy), scale by
+		// γ = sᵀy / yᵀy, k×(dot, axpy), negate, and dᵀg run one by one.
 		k := len(sHist)
-		for i := k - 1; i >= 0; i-- {
-			alphaBuf[i] = rhoHist[i] * dot(sHist[i], dir)
-			axpy(-alphaBuf[i], yHist[i], dir)
+		var dg float64
+		if k == 0 {
+			for i, g := range grad {
+				d := -g
+				dir[i] = d
+				dg += d * g
+			}
+		} else {
+			// Loop 1, newest pair first; the first pass copies grad.
+			s := sHist[k-1]
+			var acc float64
+			for i, g := range grad {
+				dir[i] = g
+				acc += s[i] * g
+			}
+			gamma := syHist[k-1] / yyHist[k-1]
+			for j := k - 1; j >= 0; j-- {
+				alphaBuf[j] = 1 / syHist[j] * acc
+				na, y := -alphaBuf[j], yHist[j]
+				acc = 0
+				if j > 0 {
+					s := sHist[j-1]
+					for i := range dir {
+						d := dir[i] + na*y[i]
+						dir[i] = d
+						acc += s[i] * d
+					}
+					continue
+				}
+				// The last loop-1 pass scales by γ and starts loop 2's
+				// first dot, against the oldest y.
+				y0 := yHist[0]
+				for i := range dir {
+					d := dir[i] + na*y[i]
+					d *= gamma
+					dir[i] = d
+					acc += y0[i] * d
+				}
+			}
+			// Loop 2, oldest pair first; the last pass negates and forms
+			// dᵀg.
+			for j := 0; j < k; j++ {
+				beta := 1 / syHist[j] * acc
+				c, s := alphaBuf[j]-beta, sHist[j]
+				acc = 0
+				if j < k-1 {
+					y := yHist[j+1]
+					for i := range dir {
+						d := dir[i] + c*s[i]
+						dir[i] = d
+						acc += y[i] * d
+					}
+					continue
+				}
+				for i, g := range grad {
+					d := -(dir[i] + c*s[i])
+					dir[i] = d
+					dg += d * g
+				}
+			}
 		}
-		if k > 0 {
-			// Initial Hessian scaling γ = sᵀy / yᵀy.
-			gamma := dot(sHist[k-1], yHist[k-1]) / dot(yHist[k-1], yHist[k-1])
-			scale(gamma, dir)
-		}
-		for i := 0; i < k; i++ {
-			beta := rhoHist[i] * dot(yHist[i], dir)
-			axpy(alphaBuf[i]-beta, sHist[i], dir)
-		}
-		neg(dir)
 
 		// Descent check; fall back to steepest descent if needed.
-		dg := dot(dir, grad)
 		if dg >= 0 {
 			copy(dir, grad)
 			neg(dir)
 			dg = -dot(grad, grad)
 			free = append(append(free, sHist...), yHist...)
-			sHist, yHist, rhoHist = sHist[:0], yHist[:0], rhoHist[:0]
+			sHist, yHist = sHist[:0], yHist[:0]
+			syHist, yyHist = syHist[:0], yyHist[:0]
 		}
 
 		// Backtracking Armijo line search.
 		step := 1.0
-		if iter == 0 {
-			if g := maxNorm(grad); g > 0 {
-				step = math.Min(1.0, 1.0/g)
-			}
+		if iter == 0 && gNorm > 0 {
+			step = math.Min(1.0, 1.0/gNorm)
 		}
 		const c1 = 1e-4
 		var fNew float64
@@ -147,30 +198,39 @@ func LBFGS(obj Objective, x []float64, opts LBFGSOptions) (float64, error) {
 			return f, ErrLineSearch
 		}
 
-		// Update correction history. The oldest pair's buffers, when the
-		// history is full, or a rejected pair's go back to free.
+		// Update correction history in one pass: s, y, sᵀy, yᵀy, the moves
+		// of xNew and gradNew into x and grad, and the next max-norm. The
+		// oldest pair's buffers, when the history is full, or a rejected
+		// pair's go back to free.
 		s, y := vec(), vec()
-		for i := range x {
-			s[i] = xNew[i] - x[i]
-			y[i] = gradNew[i] - grad[i]
+		var sy, yy float64
+		gNorm = 0
+		for i, xn := range xNew {
+			gn := gradNew[i]
+			si, yi := xn-x[i], gn-grad[i]
+			s[i], y[i] = si, yi
+			sy += si * yi
+			yy += yi * yi
+			x[i], grad[i] = xn, gn
+			if a := math.Abs(gn); a > gNorm {
+				gNorm = a
+			}
 		}
-		if sy := dot(s, y); sy > 1e-12 {
+		if sy > 1e-12 {
 			if len(sHist) == m {
 				free = append(free, sHist[0], yHist[0])
-				sHist = sHist[1:]
-				yHist = yHist[1:]
-				rhoHist = rhoHist[1:]
+				sHist, yHist = sHist[1:], yHist[1:]
+				syHist, yyHist = syHist[1:], yyHist[1:]
 			}
 			sHist = append(sHist, s)
 			yHist = append(yHist, y)
-			rhoHist = append(rhoHist, 1/sy)
+			syHist = append(syHist, sy)
+			yyHist = append(yyHist, yy)
 		} else {
 			free = append(free, s, y)
 		}
 
 		rel := math.Abs(f-fNew) / math.Max(math.Abs(f), 1)
-		copy(x, xNew)
-		copy(grad, gradNew)
 		f = fNew
 		if opts.Callback != nil && !opts.Callback(iter, f) {
 			break
