@@ -51,7 +51,8 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # 10-second smoke of each fuzz target — catches shallow regressions
-# without a long fuzzing budget — plus a deterministic pass over the
+# without a long fuzzing budget; the three decoders of outside bytes
+# (ReadArtifact, the /tag handler, the line protocol) each have one — plus a deterministic pass over the
 # interprocedural analyzer corpora (marker-checked buggy programs under
 # internal/analysis/testdata). FuzzReadArtifact's inputs are whole
 # artifact payloads (~6.6 KB), so each newly interesting input is
@@ -62,6 +63,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCompileSentence -fuzztime=10s ./internal/crf
 	$(GO) test -run='^$$' -fuzz=FuzzExtractorMatchesReference -fuzztime=10s ./internal/features
 	$(GO) test -run='^$$' -fuzz=FuzzReadArtifact -fuzztime=10s -fuzzminimizetime=100x ./internal/graphner
+	$(GO) test -run='^$$' -fuzz=FuzzTagHandler -fuzztime=10s ./internal/serving
+	$(GO) test -run='^$$' -fuzz=FuzzLineProtocol -fuzztime=10s ./internal/serving
 	$(GO) test -run 'TestPoolLife|TestLockAtCall|TestDeterminism|TestErrDrop|TestDiffRoundTrip' -count=1 ./internal/analysis ./cmd/graphnerlint
 
 # Fast performance-regression gate (<30s): the incremental-maintenance

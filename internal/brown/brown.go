@@ -18,13 +18,10 @@
 package brown
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // Config controls clustering.
@@ -84,59 +81,6 @@ func (c *Clustering) Classes(word string) []string {
 		out = append(out, "brown"+strconv.Itoa(n)+"="+pre)
 	}
 	return out
-}
-
-// WriteTo serializes the clustering as "path<TAB>word" lines (the format
-// of Liang's original wcluster output), sorted by word for determinism.
-func (c *Clustering) WriteTo(w io.Writer) (int64, error) {
-	words := make([]string, 0, len(c.paths))
-	for word := range c.paths {
-		words = append(words, word)
-	}
-	sort.Strings(words)
-	var n int64
-	bw := bufio.NewWriter(w)
-	for _, word := range words {
-		k, err := fmt.Fprintf(bw, "%s\t%s\n", c.paths[word], word)
-		n += int64(k)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
-}
-
-// ReadFrom deserializes a clustering written by WriteTo.
-func ReadFrom(r io.Reader) (*Clustering, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	paths := make(map[string]string)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if text == "" {
-			continue
-		}
-		tab := strings.IndexByte(text, '\t')
-		if tab < 0 {
-			return nil, fmt.Errorf("brown: line %d: missing tab", line)
-		}
-		path, word := text[:tab], text[tab+1:]
-		for _, r := range path {
-			if r != '0' && r != '1' {
-				return nil, fmt.Errorf("brown: line %d: bad path %q", line, path)
-			}
-		}
-		if word == "" {
-			return nil, fmt.Errorf("brown: line %d: empty word", line)
-		}
-		paths[word] = path
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return &Clustering{paths: paths}, nil
 }
 
 // Cluster learns a Brown clustering from tokenized sentences.

@@ -191,47 +191,6 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
-func TestSerializationRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	corpus := twoTopicCorpus(rng, 150)
-	c, err := Cluster(corpus, Config{NumClusters: 4, MinCount: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if _, err := c.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := ReadFrom(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.Len() != c.Len() {
-		t.Fatalf("lost words: %d vs %d", c2.Len(), c.Len())
-	}
-	for _, w := range []string{"gene", "january", "may"} {
-		if c.Path(w) != c2.Path(w) {
-			t.Errorf("path of %q changed: %q vs %q", w, c.Path(w), c2.Path(w))
-		}
-	}
-}
-
-func TestReadFromMalformed(t *testing.T) {
-	for _, bad := range []string{
-		"nopath\n",    // no tab
-		"01x\tword\n", // bad path bit
-		"0110\t\n",    // empty word
-	} {
-		if _, err := ReadFrom(strings.NewReader(bad)); err == nil {
-			t.Errorf("want error for %q", bad)
-		}
-	}
-	c, err := ReadFrom(strings.NewReader(""))
-	if err != nil || c.Len() != 0 {
-		t.Error("empty stream should give empty clustering")
-	}
-}
-
 func BenchmarkCluster(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	corpus := twoTopicCorpus(rng, 300)

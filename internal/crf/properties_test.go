@@ -1,8 +1,6 @@
 package crf
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -88,36 +86,6 @@ func TestScalingInvarianceOfDecode(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestModelGobRoundTrip: the Model struct survives gob encoding (used by
-// graphner.System.Save).
-func TestModelGobRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	m := randomModel(rng, Order2, 7, true)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		t.Fatal(err)
-	}
-	var m2 Model
-	if err := gob.NewDecoder(&buf).Decode(&m2); err != nil {
-		t.Fatal(err)
-	}
-	in := randomInstance(rng, 6, 7, false)
-	a, b := m.Decode(in), m2.Decode(in)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("decoded path changed after gob round trip")
-		}
-	}
-	pa, pb := m.Posteriors(in), m2.Posteriors(in)
-	for i := range pa {
-		for y := range pa[i] {
-			if math.Abs(pa[i][y]-pb[i][y]) > 1e-15 {
-				t.Fatal("posteriors changed after gob round trip")
-			}
-		}
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/analysis/assert"
@@ -31,14 +30,13 @@ type Edge struct {
 // Graph is the directed k-NN similarity graph over 3-gram vertices.
 //
 // The adjacency is held twice: Neighbors is the slice-of-slices view the
-// construction and serialization code produces, and EdgeOffsets / EdgeTo /
-// EdgeWeight mirror it in CSR (compressed sparse row) layout — three flat
-// arrays with the out-edges of vertex v occupying the half-open index
-// range [EdgeOffsets[v], EdgeOffsets[v+1]). The CSR view is what the
+// construction code produces, and EdgeOffsets / EdgeTo / EdgeWeight
+// mirror it in CSR (compressed sparse row) layout — three flat arrays
+// with the out-edges of vertex v occupying the half-open index range
+// [EdgeOffsets[v], EdgeOffsets[v+1]). The CSR view is what the
 // propagation hot loop reads: it removes one pointer indirection and one
 // slice header per vertex and keeps edge targets and weights contiguous.
-// Build and ReadFrom populate it; hand-assembled graphs get it lazily via
-// EnsureCSR.
+// Build populates it; hand-assembled graphs get it lazily via EnsureCSR.
 type Graph struct {
 	Vertices  []corpus.NGram
 	Index     map[corpus.NGram]int
@@ -365,8 +363,8 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 		}
 		for _, e := range g.Neighbors[i] {
 			// %g with default precision prints the fewest digits that
-			// parse back to the identical float64, so ReadFrom restores
-			// weights bit-exactly.
+			// parse back to the identical float64, so the text holds each
+			// weight exactly.
 			fmt.Fprintf(bw, "E %d %g\n", e.To, e.Weight)
 		}
 	}
@@ -374,77 +372,6 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 		return cw.n, err
 	}
 	return cw.n, nil
-}
-
-// ReadFrom deserializes a graph written by WriteTo.
-func ReadFrom(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	g := &Graph{Index: make(map[corpus.NGram]int)}
-	line := 0
-	read := func() (string, bool) {
-		if !sc.Scan() {
-			return "", false
-		}
-		line++
-		return sc.Text(), true
-	}
-	hdr, ok := read()
-	if !ok || !strings.HasPrefix(hdr, "K ") {
-		return nil, fmt.Errorf("graph: missing K header")
-	}
-	k, err := strconv.Atoi(hdr[2:])
-	if err != nil {
-		return nil, fmt.Errorf("graph: bad K header: %w", err)
-	}
-	g.K = k
-	vh, ok := read()
-	if !ok || !strings.HasPrefix(vh, "V ") {
-		return nil, fmt.Errorf("graph: missing V header")
-	}
-	n, err := strconv.Atoi(vh[2:])
-	if err != nil || n < 0 {
-		return nil, fmt.Errorf("graph: bad V header %q", vh)
-	}
-	g.Vertices = make([]corpus.NGram, 0, n)
-	g.Neighbors = make([][]Edge, 0, n)
-	for {
-		l, ok := read()
-		if !ok {
-			break
-		}
-		switch {
-		case strings.HasPrefix(l, "N "):
-			v := corpus.NGram(unescape(l[2:]))
-			g.Index[v] = len(g.Vertices)
-			g.Vertices = append(g.Vertices, v)
-			g.Neighbors = append(g.Neighbors, nil)
-		case strings.HasPrefix(l, "E "):
-			if len(g.Vertices) == 0 {
-				return nil, fmt.Errorf("graph: line %d: edge before vertex", line)
-			}
-			var to int32
-			var wgt float64
-			if _, err := fmt.Sscanf(l, "E %d %g", &to, &wgt); err != nil {
-				return nil, fmt.Errorf("graph: line %d: %w", line, err)
-			}
-			if int(to) >= n || to < 0 {
-				return nil, fmt.Errorf("graph: line %d: edge target %d out of range", line, to)
-			}
-			last := len(g.Neighbors) - 1
-			g.Neighbors[last] = append(g.Neighbors[last], Edge{To: to, Weight: wgt})
-		default:
-			return nil, fmt.Errorf("graph: line %d: unrecognized %q", line, l)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(g.Vertices) != n {
-		return nil, fmt.Errorf("graph: header promised %d vertices, got %d", n, len(g.Vertices))
-	}
-	g.BuildCSR()
-	return g, nil
 }
 
 type countingWriter struct {
@@ -462,23 +389,6 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 func escape(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	return strings.ReplaceAll(s, "\x00", `\0`)
-}
-
-func unescape(s string) string {
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\\' && i+1 < len(s) {
-			i++
-			if s[i] == '0' {
-				b.WriteByte(0)
-			} else {
-				b.WriteByte(s[i])
-			}
-			continue
-		}
-		b.WriteByte(s[i])
-	}
-	return b.String()
 }
 
 // Histogram buckets non-negative values into log-spaced bins for the

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -249,50 +248,6 @@ func TestPatchCSRMatchesBuildCSR(t *testing.T) {
 		if to[i] != g.EdgeTo[i] || w[i] != g.EdgeWeight[i] { // lint:checked bit-equality is the contract under test
 			t.Fatalf("edge %d: patched {%d,%v}, rebuilt {%d,%v}", i, to[i], w[i], g.EdgeTo[i], g.EdgeWeight[i])
 		}
-	}
-}
-
-// TestIncrementalSerializationRoundTrip: an incrementally updated graph
-// (appended CSR rows, stable ids) survives WriteTo/ReadFrom bit-exactly.
-func TestIncrementalSerializationRoundTrip(t *testing.T) {
-	base, batches := synthBatches(19, 40, []int{12})
-	u, err := NewUpdater(base, BuilderConfig{K: 5, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := u.AddSentences(batches[0]); err != nil {
-		t.Fatal(err)
-	}
-	g := u.Graph()
-	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadFrom(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.Equal(g2) {
-		t.Fatal("incrementally updated graph did not round-trip to an equal graph")
-	}
-	// A graph with more vertices than neighbour rows (legal for
-	// hand-assembled graphs) must serialize without panicking.
-	h := &Graph{
-		Vertices:  []corpus.NGram{"a\x00b\x00c", "b\x00c\x00d"},
-		Index:     map[corpus.NGram]int{"a\x00b\x00c": 0, "b\x00c\x00d": 1},
-		Neighbors: [][]Edge{{{To: 1, Weight: 0.5}}},
-		K:         1,
-	}
-	buf.Reset()
-	if _, err := h.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	h2, err := ReadFrom(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2.NumVertices() != 2 || len(h2.Neighbors[0]) != 1 {
-		t.Fatal("short-Neighbors graph did not round-trip")
 	}
 }
 

@@ -8,11 +8,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 
 	"repro/internal/corpus"
 	"repro/internal/crf"
 	"repro/internal/features"
 	"repro/internal/graph"
+	"repro/internal/tokenize"
 )
 
 // Artifact is the frozen, shareable serving bundle: everything a
@@ -263,6 +265,49 @@ func ReadArtifact(r io.Reader) (*Artifact, error) {
 // count; strings are length-prefixed UTF-8. The section order is fixed:
 // config, model, alphabet, xref, train corpus, frozen corpus, graph
 // (vertices + CSR), beliefs.
+
+type xrefEntry struct {
+	G corpus.NGram
+	D []float64
+}
+
+// sortedXref flattens a reference-distribution map into a slice sorted by
+// 3-gram, the canonical order the payload stores it in.
+func sortedXref(m map[corpus.NGram][]float64) []xrefEntry {
+	out := make([]xrefEntry, 0, len(m))
+	for g, d := range m {
+		out = append(out, xrefEntry{G: g, D: d})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].G < out[j].G })
+	return out
+}
+
+// savedSentence is a stored sentence before re-tokenization.
+type savedSentence struct {
+	ID   string
+	Text string
+	Tags []corpus.Tag
+}
+
+// restoreCorpus re-tokenizes a saved sentence list, validating that
+// stored tag sequences still align with the tokenization and hold only
+// BIO tags.
+func restoreCorpus(saved []savedSentence) (*corpus.Corpus, error) {
+	c := corpus.New()
+	for _, sv := range saved {
+		sent := &corpus.Sentence{ID: sv.ID, Text: sv.Text, Tokens: tokenize.Sentence(sv.Text), Tags: sv.Tags}
+		if sv.Tags != nil && len(sv.Tags) != len(sent.Tokens) {
+			return nil, fmt.Errorf("sentence %q has %d tags for %d tokens", sv.ID, len(sv.Tags), len(sent.Tokens))
+		}
+		for _, y := range sv.Tags {
+			if y >= corpus.NumTags {
+				return nil, fmt.Errorf("sentence %q has tag %d, want < %d", sv.ID, y, corpus.NumTags)
+			}
+		}
+		c.Sentences = append(c.Sentences, sent)
+	}
+	return c, nil
+}
 
 type binWriter struct {
 	w   io.Writer

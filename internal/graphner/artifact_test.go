@@ -113,14 +113,36 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 }
 
-// TestArtifactLSHConfigRoundTrip pins the version-2 config section: a
-// frozen system carrying an LSH graph mode keeps every LSH knob through
-// WriteTo/ReadArtifact.
-func TestArtifactLSHConfigRoundTrip(t *testing.T) {
+// TestArtifactFullConfigRoundTrip pins the config section: every
+// persisted Config field, set to a non-default value, comes back from
+// WriteTo/ReadArtifact unchanged — including the deprecated Shards, which
+// the format still carries. Workers and Extractor are machine-local and
+// stored as their zero values.
+func TestArtifactFullConfigRoundTrip(t *testing.T) {
 	sys, test, out := frozenSystem(t)
+	lsh := graph.LSHConfig{Bits: 9, Tables: 11, MaxBucket: 500, Rerank: 70, Refine: 3, MultiProbe: true, Seed: 42}
+	want := Config{
+		Alpha:           0.17,
+		Mu:              3e-5,
+		Nu:              4e-6,
+		Iterations:      5,
+		K:               7,
+		Mode:            graph.MIFeatures,
+		MIThreshold:     0.125,
+		Order:           crf.Order1,
+		L2:              2.5,
+		CRFIterations:   10,
+		MaxDF:           123,
+		Shards:          3,
+		GraphMode:       graph.ModeLSH,
+		LSH:             lsh,
+		LossEvery:       4,
+		TransitionPower: 0.11,
+	}
 	cp := *sys
-	cp.cfg.GraphMode = graph.ModeLSH
-	cp.cfg.LSH = graph.LSHConfig{Bits: 7, Tables: 13, MaxBucket: 800, Rerank: 50, Refine: 2, MultiProbe: true, Seed: 77}
+	cp.cfg = want
+	cp.cfg.Workers = 3
+	cp.cfg.Extractor = sys.cfg.Extractor
 	art, err := cp.Freeze(test, out)
 	if err != nil {
 		t.Fatal(err)
@@ -133,11 +155,8 @@ func TestArtifactLSHConfigRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Config().GraphMode != graph.ModeLSH {
-		t.Errorf("GraphMode = %v after artifact round trip, want lsh", got.Config().GraphMode)
-	}
-	if want := cp.cfg.LSH; got.Config().LSH != want {
-		t.Errorf("LSH config after artifact round trip:\n got %+v\nwant %+v", got.Config().LSH, want)
+	if !reflect.DeepEqual(got.Config(), want) {
+		t.Errorf("config after artifact round trip:\n got %+v\nwant %+v", got.Config(), want)
 	}
 }
 

@@ -67,8 +67,8 @@ type Config struct {
 	// graph.BuilderConfig).
 	MaxDF int
 	// Shards is ignored. Results never depended on it, so ignoring it
-	// is exact. Snapshots and artifacts still carry the value, so their
-	// formats are unchanged.
+	// is exact. Artifacts still carry the value, so their format is
+	// unchanged.
 	//
 	// Deprecated: in-process sharding was removed; set Workers instead.
 	Shards int

@@ -156,8 +156,8 @@ func TrainTagger(train, dev *corpus.Corpus, cfg TaggerConfig) (*Tagger, error) {
 		}
 	}
 
-	// Layers (allocation order shared with LoadTagger via allocLayers).
-	if err := t.allocLayers(len(t.vocab), len(t.chars), rng, true); err != nil {
+	// Layers.
+	if err := t.allocLayers(len(t.vocab), len(t.chars), rng); err != nil {
 		return nil, err
 	}
 
@@ -220,6 +220,53 @@ func TrainTagger(train, dev *corpus.Corpus, cfg TaggerConfig) (*Tagger, error) {
 		copy(t.st.params, best)
 	}
 	return t, nil
+}
+
+// lstmParams is the parameter count of one LSTM layer: the (4H)×(D+H)
+// weight matrix plus 4H biases.
+func lstmParams(in, hidden int) int { return 4*hidden*(in+hidden) + 4*hidden }
+
+// paramCount returns the total trainable parameter count of the
+// architecture, used to reserve the store before allocation (views alias
+// the store's arrays and must never be detached by reallocation).
+func (t *Tagger) paramCount(vocabSize, charCount int) int {
+	cfg := t.cfg
+	D, H := cfg.WordDim, cfg.Hidden
+	n := vocabSize * D
+	if cfg.Arch == CharAttention {
+		n += (charCount + 1) * cfg.CharHidden
+		n += 2 * lstmParams(cfg.CharHidden, cfg.CharHidden)
+		n += D*2*D + D
+	}
+	n += 2 * lstmParams(D, H)
+	n += numTags*2*H + numTags // output projection + bias
+	n += numTags*numTags + numTags
+	return n
+}
+
+// allocLayers builds the Glorot-initialised parameter layout for the
+// configured architecture and the given vocabulary sizes.
+func (t *Tagger) allocLayers(vocabSize, charCount int, rng *rand.Rand) error {
+	cfg := t.cfg
+	D, H := cfg.WordDim, cfg.Hidden
+	t.st.reserve(t.paramCount(vocabSize, charCount))
+	t.wordEmb = t.st.alloc(vocabSize, D, glorot(rng, vocabSize, D))
+	if cfg.Arch == CharAttention {
+		if 2*cfg.CharHidden != D {
+			return fmt.Errorf("neural: CharHidden must be WordDim/2 (got %d for word dim %d)", cfg.CharHidden, D)
+		}
+		t.charEmb = t.st.alloc(charCount+1, cfg.CharHidden, glorot(rng, charCount+1, cfg.CharHidden))
+		t.charFwd = newLSTM(t.st, rng, cfg.CharHidden, cfg.CharHidden)
+		t.charBwd = newLSTM(t.st, rng, cfg.CharHidden, cfg.CharHidden)
+		t.gate = t.st.alloc(D, 2*D, glorot(rng, 2*D, D))
+		t.gateB = t.st.alloc(1, D, zeros)
+	}
+	t.fwd = newLSTM(t.st, rng, D, H)
+	t.bwd = newLSTM(t.st, rng, D, H)
+	t.out = t.st.alloc(numTags, 2*H, glorot(rng, 2*H, numTags))
+	t.outB = t.st.alloc(1, numTags, zeros)
+	t.crf = newCRFLayer(t.st)
+	return nil
 }
 
 // forward computes the emission lattice for a sentence, returning all the

@@ -79,8 +79,9 @@ type adjacency struct {
 
 // adjacencyOf returns the CSR adjacency of the directed k-NN graph to
 // propagate over. It never mutates g (so concurrent Runs over a shared
-// graph stay race-free): graphs built by graph.Build or graph.ReadFrom
-// already carry CSR arrays; hand-assembled graphs get a local flattening.
+// graph stay race-free): graphs built by graph.Build or decoded from an
+// artifact already carry CSR arrays; hand-assembled graphs get a local
+// flattening.
 func adjacencyOf(g *graph.Graph, n int) adjacency {
 	if len(g.EdgeOffsets) == n+1 && int(g.EdgeOffsets[n]) == len(g.EdgeTo) {
 		return adjacency{off: g.EdgeOffsets, to: g.EdgeTo, w: g.EdgeWeight}

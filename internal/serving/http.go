@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"time"
@@ -28,14 +27,15 @@ type TagResponse struct {
 	Errors []string   `json:"errors,omitempty"`
 }
 
-// maxTagBody bounds a /tag request body (defense against unbounded
-// reads, not a protocol limit).
+// maxTagBody bounds a /tag request body. A longer body is answered with
+// 413 and the server closes the connection instead of reading the rest.
 const maxTagBody = 8 << 20
 
 // Handler returns the HTTP front end:
 //
 //	POST /tag      JSON TagRequest → TagResponse (200 even when
-//	               individual sentences were shed — inspect Errors)
+//	               individual sentences were shed — inspect Errors;
+//	               400 for a malformed body, 413 for one over 8 MiB)
 //	GET  /healthz  200 "ok" while the server accepts requests
 //	GET  /statusz  JSON Stats counters
 func (s *Server) Handler() http.Handler {
@@ -52,7 +52,12 @@ func (s *Server) handleTag(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req TagRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxTagBody)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxTagBody)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, fmt.Sprintf("request body over %d bytes", maxTagBody), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sort"
@@ -34,7 +35,7 @@ var artifactOnce struct {
 	err  error
 }
 
-func testArtifact(t *testing.T) (*graphner.Artifact, *corpus.Corpus, [][]corpus.Tag) {
+func testArtifact(t testing.TB) (*graphner.Artifact, *corpus.Corpus, [][]corpus.Tag) {
 	t.Helper()
 	artifactOnce.Do(func() {
 		fail := func(err error) { artifactOnce.err = err }
@@ -468,6 +469,33 @@ func TestHTTPHandler(t *testing.T) {
 	status.Body.Close() // lint:checked errdrop: test teardown of the response read side
 	if st.Served < 2 {
 		t.Errorf("statusz Served = %d, want ≥ 2", st.Served)
+	}
+}
+
+// TestTagBodyTooLarge: a /tag body one byte over the 8 MiB cap gets 413,
+// not a 400 from a decoder that saw the body cut short.
+func TestTagBodyTooLarge(t *testing.T) {
+	art, _, _ := testArtifact(t)
+	s, err := NewServer(art, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	const head, tail = `{"sentences":["`, `"]}`
+	body := head + strings.Repeat("a", maxTagBody+1-len(head)-len(tail)) + tail
+	if len(body) != maxTagBody+1 {
+		t.Fatalf("body is %d bytes, want %d", len(body), maxTagBody+1)
+	}
+	resp, err := srv.Client().Post(srv.URL+"/tag", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close() // lint:checked errdrop: test teardown of the response read side
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("POST /tag with a %d-byte body: status %d, want 413", len(body), resp.StatusCode)
 	}
 }
 

@@ -7,14 +7,11 @@
 package word2vec
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // Config controls training. Zero values select defaults.
@@ -322,93 +319,6 @@ func (m *Model) Classes(word string) []string {
 		return nil
 	}
 	return []string{"w2v=" + strconv.Itoa(m.cluster[i])}
-}
-
-// WriteTo serializes the model as a text header "w2v <vocab> <dim>"
-// followed by one "word cluster v0 v1 ..." line per word.
-func (m *Model) WriteTo(w io.Writer) (int64, error) {
-	cw := bufio.NewWriter(w)
-	var n int64
-	k, err := fmt.Fprintf(cw, "w2v %d %d\n", len(m.words), m.dim)
-	n += int64(k)
-	if err != nil {
-		return n, err
-	}
-	for i, word := range m.words {
-		k, err = fmt.Fprintf(cw, "%s %d", word, m.cluster[i])
-		n += int64(k)
-		if err != nil {
-			return n, err
-		}
-		for _, v := range m.vecs[i*m.dim : (i+1)*m.dim] {
-			k, err = fmt.Fprintf(cw, " %.6g", v)
-			n += int64(k)
-			if err != nil {
-				return n, err
-			}
-		}
-		k, err = fmt.Fprintln(cw)
-		n += int64(k)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, cw.Flush()
-}
-
-// ReadFrom deserializes a model written by WriteTo.
-func ReadFrom(r io.Reader) (*Model, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("word2vec: empty stream")
-	}
-	var vocab, dim int
-	if _, err := fmt.Sscanf(sc.Text(), "w2v %d %d", &vocab, &dim); err != nil {
-		return nil, fmt.Errorf("word2vec: bad header %q: %w", sc.Text(), err)
-	}
-	if vocab < 0 || dim <= 0 {
-		return nil, fmt.Errorf("word2vec: bad header values %d %d", vocab, dim)
-	}
-	m := &Model{
-		dim:     dim,
-		words:   make([]string, 0, vocab),
-		index:   make(map[string]int, vocab),
-		vecs:    make([]float64, 0, vocab*dim),
-		cluster: make([]int, 0, vocab),
-	}
-	line := 1
-	for sc.Scan() {
-		line++
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		if len(fields) != 2+dim {
-			return nil, fmt.Errorf("word2vec: line %d: %d fields, want %d", line, len(fields), 2+dim)
-		}
-		cl, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("word2vec: line %d: %w", line, err)
-		}
-		m.index[fields[0]] = len(m.words)
-		m.words = append(m.words, fields[0])
-		m.cluster = append(m.cluster, cl)
-		for _, f := range fields[2:] {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("word2vec: line %d: %w", line, err)
-			}
-			m.vecs = append(m.vecs, v)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(m.words) != vocab {
-		return nil, fmt.Errorf("word2vec: header promised %d words, got %d", vocab, len(m.words))
-	}
-	return m, nil
 }
 
 // Neighbor is a cosine-similarity match.

@@ -3,7 +3,6 @@ package word2vec
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -172,52 +171,6 @@ func TestKMeansDegenerate(t *testing.T) {
 	for _, c := range a {
 		if c != 0 {
 			t.Error("k=1 must assign cluster 0")
-		}
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	m := trainSmall(t, 5)
-	var buf strings.Builder
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := ReadFrom(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.VocabSize() != m.VocabSize() || m2.Dim() != m.Dim() {
-		t.Fatal("header mismatch")
-	}
-	for _, w := range []string{"gene", "january", "red"} {
-		v1, v2 := m.Vector(w), m2.Vector(w)
-		if len(v1) != len(v2) {
-			t.Fatalf("vector length mismatch for %q", w)
-		}
-		for i := range v1 {
-			if math.Abs(v1[i]-v2[i]) > 1e-5 {
-				t.Fatalf("vector of %q changed at %d: %g vs %g", w, i, v1[i], v2[i])
-			}
-		}
-		c1, c2 := m.Classes(w), m2.Classes(w)
-		if c1[0] != c2[0] {
-			t.Errorf("cluster of %q changed: %v vs %v", w, c1, c2)
-		}
-	}
-}
-
-func TestReadFromMalformed(t *testing.T) {
-	for _, bad := range []string{
-		"",
-		"bogus header\n",
-		"w2v -1 4\n",
-		"w2v 1 2\nword 0 1.0\n",     // missing vector component
-		"w2v 2 2\nword 0 1.0 2.0\n", // fewer words than promised
-		"w2v 1 2\nword x 1.0 2.0\n", // bad cluster
-		"w2v 1 2\nword 0 a 2.0\n",   // bad float
-	} {
-		if _, err := ReadFrom(strings.NewReader(bad)); err == nil {
-			t.Errorf("want error for %q", bad)
 		}
 	}
 }
