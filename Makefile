@@ -87,7 +87,7 @@ bench-smoke:
 	$(GO) test -run 'TestIncrementalSmoke|TestKNNIncrementalOneBatchGolden|TestPatchCSRMatchesBuildCSR|TestKNNMatchesReference|TestBuildFeatureModesMatchReference|TestBuildWorkersIdentical|TestUpdaterRunsMatchFreshCount' -count=1 ./internal/graph
 	$(GO) test -run 'TestSweepAllocGuard|TestLossEverySchedule' -count=1 ./internal/propagate
 	$(GO) test -run 'TestStreamerInitialMatchesTest|TestStreamerFoldMatchesFromScratch|TestStreamerBatchOrderInvariance' -count=1 ./internal/graphner
-	$(GO) test -run 'TestDecodeAllocGuard|TestPosteriorsAllocGuard|TestCompileSentenceAllocGuard|TestSentenceGradientAllocGuard|TestSentenceGradientMatchesReference|TestPooledInferenceMatchesExact|TestLBFGSMatchesReference|TestObjectiveEvalMatchesReference|TestCompileMatchesSerial' -count=1 ./internal/crf
+	$(GO) test -run 'TestDecodeAllocGuard|TestPosteriorsAllocGuard|TestCompileSentenceAllocGuard|TestSentenceGradientAllocGuard|TestSentenceGradientMatchesReference|TestPooledInferenceMatchesExact|TestLBFGSMatchesReference|TestObjectiveEvalMatchesReference|TestCompileMatchesSerial|TestCompileMemoMatchesVisitor|TestCompileMemoConcurrent|TestCompileMemoBound' -count=1 ./internal/crf
 
 # Linter self-benchmark: cold and warm whole-module graphnerlint runs
 # (wall time, packages analyzed, findings) written to BENCH_lint.json —

@@ -11,7 +11,9 @@ import (
 // FuzzCompileSentence feeds arbitrary sentence text through the pooled
 // flat-backed compiler and the seed reference implementation on two
 // separate (identically fresh) compilers, demanding identical feature-id
-// sequences — both while the alphabet is growing and after freezing.
+// sequences: once while the alphabet is growing, then on the frozen
+// alphabet twice — the word memo cold, then warm — and for a second
+// sentence that reuses some of the first one's words after them.
 func FuzzCompileSentence(f *testing.F) {
 	seeds := []string{
 		"Recently the mutation of lymphocyte adaptor protein LNK was detected",
@@ -26,23 +28,25 @@ func FuzzCompileSentence(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, text string) {
 		s := &corpus.Sentence{Text: text, Tokens: tokenize.Sentence(text)}
+		second := "the " + text + " gene , " + text
+		s2 := &corpus.Sentence{Text: second, Tokens: tokenize.Sentence(second)}
 		fast := NewCompiler(features.NewExtractor(nil))
 		ref := NewCompiler(features.NewExtractor(nil))
-		for round := 0; round < 2; round++ {
-			got := fast.CompileSentence(s)
-			want := referenceCompileSentence(ref, s)
+		for round, sent := range []*corpus.Sentence{s, s, s, s2} {
+			got := fast.CompileSentence(sent)
+			want := referenceCompileSentence(ref, sent)
 			if got.Len() != want.Len() {
-				t.Fatalf("round %d of %q: %d positions, want %d", round, text, got.Len(), want.Len())
+				t.Fatalf("round %d of %q: %d positions, want %d", round, sent.Text, got.Len(), want.Len())
 			}
 			for i := range want.Features {
 				if len(got.Features[i]) != len(want.Features[i]) {
 					t.Fatalf("round %d of %q pos %d: %d ids, want %d",
-						round, text, i, len(got.Features[i]), len(want.Features[i]))
+						round, sent.Text, i, len(got.Features[i]), len(want.Features[i]))
 				}
 				for j := range want.Features[i] {
 					if got.Features[i][j] != want.Features[i][j] {
 						t.Fatalf("round %d of %q pos %d id %d: %d, want %d",
-							round, text, i, j, got.Features[i][j], want.Features[i][j])
+							round, sent.Text, i, j, got.Features[i][j], want.Features[i][j])
 					}
 				}
 			}

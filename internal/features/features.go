@@ -189,10 +189,7 @@ var orthoFeatures = [...]string{"ALLCAPS", "MIXEDCASE", "ALPHANUMERIC", "NUMBER"
 // analysis of the previous sentence but keeping its buffers.
 func (v *Visitor) Reset(e *Extractor, words []string) {
 	v.e = e
-	v.window = e.WindowSize
-	if v.window == 0 {
-		v.window = 2
-	}
+	v.window = e.WindowWidth()
 	v.words = words
 	if cap(v.info) < len(words) {
 		v.info = make([]wordInfo, len(words))
@@ -205,21 +202,55 @@ func (v *Visitor) Reset(e *Extractor, words []string) {
 }
 
 // Position calls fn once for each feature instance of token index i, in a
-// fixed order: word, lemma, shape and brief shape; prefixes and suffixes;
-// orthographic predicates; character n-grams; window words, lemmas and
-// shapes; bigrams; classer features of the word and its neighbours.
+// fixed order: the word block of token i (Word); for each window offset d
+// from −WindowWidth to +WindowWidth but 0, the window block of token i+d
+// (Window) or, past either end of the sentence, the boundary feature
+// (Boundary); the bigrams (Bigrams); and, with a Classer, the classes of
+// token i and of its neighbours (Classes at offsets 0, −1 and +1).
 // f aliases the visitor's buffer: it is valid only until fn returns, and
 // fn must not call back into v.
+//
+// Every group but the bigrams depends on one word alone (and the offset
+// it is seen at), which is what lets a caller cache a word's groups.
 func (v *Visitor) Position(i int, fn func(f []byte)) {
-	words := v.words
-	w := v.word(i)
+	n := len(v.words)
+	v.Word(i, fn)
+	for d := -v.window; d <= v.window; d++ {
+		if d == 0 {
+			continue
+		}
+		if j := i + d; j < 0 || j >= n {
+			v.Boundary(d, fn)
+		} else {
+			v.Window(j, d, fn)
+		}
+	}
+	v.Bigrams(i, fn)
+	if v.e.Classer != nil {
+		v.Classes(i, 0, fn)
+		if i > 0 {
+			v.Classes(i-1, -1, fn)
+		}
+		if i+1 < n {
+			v.Classes(i+1, +1, fn)
+		}
+	}
+}
+
+// Word calls fn for the features of token j that depend on its word
+// alone: word, lemma, shape and brief shape; prefixes and suffixes;
+// orthographic predicates (and "punct=" for a punctuation mark);
+// character n-grams.
+func (v *Visitor) Word(j int, fn func(f []byte)) {
+	word := v.words[j]
+	w := v.word(j)
 	b := v.buf
 
 	b = append(append(b[:0], "w="...), w.lower...)
 	fn(b)
 	b = append(append(b[:0], "lemma="...), w.lemma...)
 	fn(b)
-	b = tokenize.AppendShape(append(b[:0], "shape="...), words[i])
+	b = tokenize.AppendShape(append(b[:0], "shape="...), word)
 	fn(b)
 	b = append(append(b[:0], "brief="...), v.brief[w.b0:w.b1]...)
 	fn(b)
@@ -241,7 +272,7 @@ func (v *Visitor) Position(i int, fn func(f []byte)) {
 		b = append(b[:0], name...)
 		fn(b)
 		if k == orthoPunct {
-			b = append(append(b[:0], "punct="...), words[i]...)
+			b = append(append(b[:0], "punct="...), word...)
 			fn(b)
 		}
 	}
@@ -249,68 +280,95 @@ func (v *Visitor) Position(i int, fn func(f []byte)) {
 	// Character n-grams (2 and 3) over the lowercased word.
 	if v.e.CharNGrams {
 		for n := 2; n <= 3; n++ {
-			for j := 0; j+n <= len(r); j++ {
-				b = appendRunes(append(b[:0], 'c', 'g', byte('0'+n), '='), r[j:j+n])
-				fn(b)
-			}
-		}
-	}
-
-	// Window features: surrounding words and lemmas with relative offsets.
-	for d := -v.window; d <= v.window; d++ {
-		if d == 0 {
-			continue
-		}
-		j := i + d
-		b = append(appendOffset(append(b[:0], 'w'), d), '=')
-		switch {
-		case j < 0:
-			b = append(b, "<s>"...)
-		case j >= len(words):
-			b = append(b, "</s>"...)
-		default:
-			b = append(b, v.word(j).lower...)
-		}
-		fn(b)
-		if j >= 0 && j < len(words) {
-			wj := v.word(j)
-			b = append(append(appendOffset(append(b[:0], "lem"...), d), '='), wj.lemma...)
-			fn(b)
-			b = append(append(appendOffset(append(b[:0], "shape"...), d), '='), v.brief[wj.b0:wj.b1]...)
-			fn(b)
-		}
-	}
-
-	// Adjacent-word bigrams.
-	if i > 0 {
-		b = append(append(append(append(b[:0], "bg-1="...), v.word(i-1).lower...), '_'), w.lower...)
-		fn(b)
-	}
-	if i+1 < len(words) {
-		b = append(append(append(append(b[:0], "bg+1="...), w.lower...), '_'), v.word(i+1).lower...)
-		fn(b)
-	}
-
-	// Distributional word classes for the token and its neighbours.
-	if v.e.Classer != nil {
-		for _, c := range w.classes {
-			b = append(b[:0], c...)
-			fn(b)
-		}
-		if i > 0 {
-			for _, c := range v.word(i - 1).classes {
-				b = append(append(b[:0], c...), "@-1"...)
-				fn(b)
-			}
-		}
-		if i+1 < len(words) {
-			for _, c := range v.word(i + 1).classes {
-				b = append(append(b[:0], c...), "@+1"...)
+			for k := 0; k+n <= len(r); k++ {
+				b = appendRunes(append(b[:0], 'c', 'g', byte('0'+n), '='), r[k:k+n])
 				fn(b)
 			}
 		}
 	}
 	v.buf = b[:0]
+}
+
+// Window calls fn for the features token j contributes to the position
+// at offset −d from it, d being j's window offset there: its word
+// ("w{d}="), lemma ("lem{d}=") and brief shape ("shape{d}="), with d
+// rendered as "%+d".
+func (v *Visitor) Window(j, d int, fn func(f []byte)) {
+	w := v.word(j)
+	b := append(append(appendOffset(append(v.buf[:0], 'w'), d), '='), w.lower...)
+	fn(b)
+	b = append(append(appendOffset(append(b[:0], "lem"...), d), '='), w.lemma...)
+	fn(b)
+	b = append(append(appendOffset(append(b[:0], "shape"...), d), '='), v.brief[w.b0:w.b1]...)
+	fn(b)
+	v.buf = b[:0]
+}
+
+// Boundary calls fn for the window feature at offset d of a position
+// whose window runs past the sentence: "w{d}=<s>" before the start (d <
+// 0), "w{d}=</s>" after the end (d > 0).
+func (v *Visitor) Boundary(d int, fn func(f []byte)) {
+	b := append(appendOffset(append(v.buf[:0], 'w'), d), '=')
+	if d < 0 {
+		b = append(b, "<s>"...)
+	} else {
+		b = append(b, "</s>"...)
+	}
+	fn(b)
+	v.buf = b[:0]
+}
+
+// Bigrams calls fn for the adjacent-word bigrams of token i: with the
+// previous word ("bg-1=") and with the next ("bg+1="), where they exist.
+func (v *Visitor) Bigrams(i int, fn func(f []byte)) {
+	b := v.buf
+	if i > 0 {
+		b = AppendBigram(b[:0], -1, v.word(i-1).lower, v.word(i).lower)
+		fn(b)
+	}
+	if i+1 < len(v.words) {
+		b = AppendBigram(b[:0], +1, v.word(i).lower, v.word(i+1).lower)
+		fn(b)
+	}
+	v.buf = b[:0]
+}
+
+// AppendBigram appends the bigram feature of a position and its
+// neighbour at offset d (−1 or +1) to b: "bg{d}=" and the lower-case
+// words in sentence order, joined by '_'. It is the bigram template of
+// Bigrams, for callers that hold the lower-case words without a Visitor.
+func AppendBigram(b []byte, d int, left, right string) []byte {
+	b = append(appendOffset(append(b, 'b', 'g'), d), '=')
+	return append(append(append(b, left...), '_'), right...)
+}
+
+// Classes calls fn for the distributional classes of token j as seen from
+// the position at offset −d from it: the classer's features unchanged for
+// d = 0, suffixed "@-1" or "@+1" for the previous or next word. It emits
+// nothing without a Classer.
+func (v *Visitor) Classes(j, d int, fn func(f []byte)) {
+	b := v.buf
+	for _, c := range v.word(j).classes {
+		b = append(b[:0], c...)
+		if d != 0 {
+			b = appendOffset(append(b, '@'), d)
+		}
+		fn(b)
+	}
+	v.buf = b[:0]
+}
+
+// Lower returns the lower-case form of token j, as the "w=" and bigram
+// features spell it.
+func (v *Visitor) Lower(j int) string { return v.word(j).lower }
+
+// WindowWidth is the half-width of the context window Position uses:
+// WindowSize, or 2 when it is unset.
+func (e *Extractor) WindowWidth() int {
+	if e.WindowSize == 0 {
+		return 2
+	}
+	return e.WindowSize
 }
 
 // word returns the analysis of words[j], computing it on first use.
@@ -460,6 +518,18 @@ func (a *Alphabet) insert(s string) int {
 	a.index[s] = id
 	a.names = append(a.names, s)
 	return id
+}
+
+// CountPrefix returns the number of interned strings that begin with
+// prefix.
+func (a *Alphabet) CountPrefix(prefix string) int {
+	n := 0
+	for _, s := range a.names {
+		if strings.HasPrefix(s, prefix) {
+			n++
+		}
+	}
+	return n
 }
 
 // Name returns the string for id. It panics on out-of-range ids.

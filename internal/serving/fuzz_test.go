@@ -29,7 +29,9 @@ func fuzzServer(f *testing.F) *Server {
 }
 
 // FuzzTagHandler posts arbitrary bytes to /tag. The handler must answer
-// 200, 400 or 413. On 200 the response must decode, hold one entry per
+// 200 exactly when the body is one JSON TagRequest (json.Unmarshal accepts
+// it: trailing white space only), 400 otherwise, and 413 only for a body
+// over the cap. On 200 the response must decode, hold one entry per
 // request sentence, and give every sentence that was not shed exactly as
 // many tags as the tokenizer gives it tokens.
 func FuzzTagHandler(f *testing.F) {
@@ -50,18 +52,25 @@ func FuzzTagHandler(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/tag", bytes.NewReader(body)))
+		var req TagRequest
+		decodeErr := json.Unmarshal(body, &req)
 		switch rec.Code {
 		case http.StatusOK:
-		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			if decodeErr != nil {
+				t.Fatalf("200 for a body that does not decode: %v", decodeErr)
+			}
+		case http.StatusBadRequest:
+			if decodeErr == nil {
+				t.Fatalf("400 for a body that decodes: %q", body)
+			}
+			return
+		case http.StatusRequestEntityTooLarge:
+			if len(body) <= maxTagBody {
+				t.Fatalf("413 for a %d-byte body", len(body))
+			}
 			return
 		default:
 			t.Fatalf("status %d for body %q", rec.Code, body)
-		}
-		// The handler decodes the first JSON value of the body; so does
-		// this check.
-		var req TagRequest
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-			t.Fatalf("200 for a body that does not decode: %v", err)
 		}
 		var resp TagResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
@@ -86,10 +95,10 @@ func FuzzTagHandler(f *testing.F) {
 
 // FuzzLineProtocol feeds arbitrary bytes, as newline-terminated request
 // lines, to one line-protocol connection over net.Pipe. The server must
-// send exactly one reply line per request line — an ERR line or one tag
+// send exactly one reply line per request line — the too-long ERR line for
+// a line over the protocol's 1 MiB limit, otherwise an ERR line or one tag
 // per token — and its connection goroutine must exit once the client
-// closes the connection. Inputs with a line over the protocol's 1 MiB
-// limit are out of scope.
+// closes the connection.
 func FuzzLineProtocol(f *testing.F) {
 	s := fuzzServer(f)
 	for _, seed := range []string{
@@ -98,6 +107,7 @@ func FuzzLineProtocol(f *testing.F) {
 		"no newline at the end",
 		"carriage return\r\n\r\n",
 		"\x00\xff\xfe invalid utf-8\n",
+		strings.Repeat("a", maxLine) + "\nx y .\n",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -107,11 +117,6 @@ func FuzzLineProtocol(f *testing.F) {
 		}
 		lines := strings.SplitAfter(string(data), "\n")
 		lines = lines[:len(lines)-1] // the empty tail after the last '\n'
-		for _, l := range lines {
-			if len(l) > 1<<20 {
-				t.Skip("line over the 1 MiB protocol limit")
-			}
-		}
 		client, server := net.Pipe()
 		exited := make(chan struct{})
 		go func() {
@@ -128,6 +133,12 @@ func FuzzLineProtocol(f *testing.F) {
 			reply, err := rd.ReadString('\n')
 			if err != nil {
 				t.Fatalf("request line %d of %d: no reply: %v", i, len(lines), err)
+			}
+			if tooLong := "ERR " + errLineTooLong.Error() + "\n"; len(l) > maxLine {
+				if reply != tooLong {
+					t.Fatalf("request line %d of %d bytes: reply %q, want %q", i, len(l), reply, tooLong)
+				}
+				continue
 			}
 			if strings.HasPrefix(reply, "ERR ") {
 				continue

@@ -2,9 +2,11 @@ package serving
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"time"
@@ -13,7 +15,8 @@ import (
 )
 
 // TagRequest is the POST /tag body: sentences to label plus an optional
-// per-request deadline in milliseconds (0 applies the server default).
+// per-request deadline in milliseconds (0 applies the server default; a
+// value over maxDeadlineMS counts as maxDeadlineMS).
 type TagRequest struct {
 	Sentences  []string `json:"sentences"`
 	DeadlineMS int64    `json:"deadline_ms,omitempty"`
@@ -31,11 +34,24 @@ type TagResponse struct {
 // 413 and the server closes the connection instead of reading the rest.
 const maxTagBody = 8 << 20
 
+// maxDeadlineMS is the longest per-request deadline /tag applies: one day.
+// A longer deadline_ms is cut to it, which keeps the deadline's
+// time.Duration from overflowing into the past.
+const maxDeadlineMS = 24 * 60 * 60 * 1000
+
+// maxLine bounds a line-protocol request line, terminator included. A
+// longer line is read to its end and answered with one ERR line.
+const maxLine = 1 << 20
+
+// errLineTooLong answers a request line over maxLine.
+var errLineTooLong = fmt.Errorf("serving: request line over %d bytes", maxLine)
+
 // Handler returns the HTTP front end:
 //
 //	POST /tag      JSON TagRequest → TagResponse (200 even when
 //	               individual sentences were shed — inspect Errors;
-//	               400 for a malformed body, 413 for one over 8 MiB)
+//	               400 for a malformed body or data after the JSON
+//	               object, 413 for a body over 8 MiB)
 //	GET  /healthz  200 "ok" while the server accepts requests
 //	GET  /statusz  JSON Stats counters
 func (s *Server) Handler() http.Handler {
@@ -52,7 +68,16 @@ func (s *Server) handleTag(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req TagRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxTagBody)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxTagBody))
+	err := dec.Decode(&req)
+	if err == nil {
+		if _, err = dec.Token(); err == nil {
+			err = errors.New("data after the JSON object")
+		} else if err == io.EOF {
+			err = nil
+		}
+	}
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			http.Error(w, fmt.Sprintf("request body over %d bytes", maxTagBody), http.StatusRequestEntityTooLarge)
@@ -63,7 +88,7 @@ func (s *Server) handleTag(w http.ResponseWriter, r *http.Request) {
 	}
 	var deadline time.Time
 	if req.DeadlineMS > 0 {
-		deadline = time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond)
+		deadline = time.Now().Add(time.Duration(min(req.DeadlineMS, maxDeadlineMS)) * time.Millisecond)
 	}
 	resp := TagResponse{Tags: make([][]string, len(req.Sentences))}
 	anyErr := false
@@ -131,7 +156,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // ServeLine answers the newline-delimited protocol on l until the
 // listener closes: each request line is one raw sentence; the reply line
 // is the space-separated BIO tags ("B I O …", empty line for an empty
-// sentence) or "ERR <message>" when the request was shed or failed.
+// sentence) or "ERR <message>" when the request was shed or failed, or
+// when the line is over 1 MiB, terminator included.
 // Connections are handled concurrently; lines within one connection are
 // answered in order.
 func (s *Server) ServeLine(l net.Listener) error {
@@ -161,11 +187,17 @@ func (s *Server) serveConn(conn net.Conn, done <-chan struct{}) {
 		case <-stop:
 		}
 	}()
+	var lines lineSplitter
 	in := bufio.NewScanner(conn)
-	in.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	in.Buffer(make([]byte, 0, 64<<10), maxLine)
+	in.Split(lines.split)
 	out := bufio.NewWriter(conn)
 	for in.Scan() {
-		tags, err := s.Tag(in.Text())
+		var tags []corpus.Tag
+		err := errLineTooLong
+		if !lines.tooLong {
+			tags, err = s.Tag(in.Text())
+		}
 		if err != nil {
 			fmt.Fprintf(out, "ERR %v\n", err)
 		} else {
@@ -181,4 +213,35 @@ func (s *Server) serveConn(conn net.Conn, done <-chan struct{}) {
 			return
 		}
 	}
+}
+
+// lineSplitter is bufio.ScanLines for a Scanner whose buffer holds
+// maxLine bytes, except that a longer line does not end the scan: it is
+// consumed to its terminator and yields one empty token with tooLong
+// set, so the connection can answer it and go on with the next line.
+type lineSplitter struct {
+	discarding bool // inside a line over maxLine
+	tooLong    bool // the last token stands for a line over maxLine
+}
+
+func (l *lineSplitter) split(data []byte, atEOF bool) (int, []byte, error) {
+	if l.discarding {
+		end := bytes.IndexByte(data, '\n') + 1
+		if end == 0 {
+			if !atEOF {
+				return len(data), nil, nil
+			}
+			end = len(data) // the connection ended inside the line
+		}
+		l.discarding, l.tooLong = false, true
+		return end, data[:0], nil
+	}
+	l.tooLong = false
+	advance, token, err := bufio.ScanLines(data, atEOF)
+	if advance == 0 && token == nil && len(data) >= maxLine {
+		// A full buffer and no terminator: the line is over maxLine.
+		l.discarding = true
+		return len(data), nil, nil
+	}
+	return advance, token, err
 }

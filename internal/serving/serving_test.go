@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/corpus"
@@ -526,6 +528,142 @@ func TestLineProtocol(t *testing.T) {
 		got := strings.Fields(line)
 		if !reflect.DeepEqual(got, wantStr) {
 			t.Errorf("sentence %d: line tags %v, want %v", i, got, wantStr)
+		}
+	}
+}
+
+// postTag posts body to the handler and returns the status and the
+// decoded response (zero unless the status is 200).
+func postTag(t *testing.T, h http.Handler, body string) (int, TagResponse) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/tag", strings.NewReader(body)))
+	var resp TagResponse
+	if rec.Code == http.StatusOK {
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("response to %q does not decode: %v", body, err)
+		}
+	}
+	return rec.Code, resp
+}
+
+// TestTagDeadlineOverflow: a deadline_ms whose time.Duration would
+// overflow is cut to maxDeadlineMS, so the sentence is tagged, not shed.
+func TestTagDeadlineOverflow(t *testing.T) {
+	art, _, _ := testArtifact(t)
+	s, err := NewServer(art, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, ms := range []string{"10000000000000", "9223372036854775807", fmt.Sprint(maxDeadlineMS)} {
+		code, resp := postTag(t, s.Handler(), `{"sentences":["x y ."],"deadline_ms":`+ms+`}`)
+		if code != http.StatusOK || resp.Errors != nil || len(resp.Tags) != 1 || len(resp.Tags[0]) != 3 {
+			t.Errorf("deadline_ms %s: status %d, response %+v; want 200 with 3 tags", ms, code, resp)
+		}
+	}
+}
+
+// TestTagTrailingData: /tag takes exactly one JSON object; anything but
+// white space after it is a 400.
+func TestTagTrailingData(t *testing.T) {
+	art, _, _ := testArtifact(t)
+	s, err := NewServer(art, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for body, want := range map[string]int{
+		`{"sentences":["x y ."]} trailing garbage`: http.StatusBadRequest,
+		`{"sentences":["x y ."]} {}`:               http.StatusBadRequest,
+		`{"sentences":["x y ."]}]`:                 http.StatusBadRequest,
+		"{\"sentences\":[\"x y .\"]} \r\n\t":       http.StatusOK,
+	} {
+		if code, _ := postTag(t, s.Handler(), body); code != want {
+			t.Errorf("body %q: status %d, want %d", body, code, want)
+		}
+	}
+}
+
+// TestLineProtocolLongLine: a request line over the 1 MiB limit gets one
+// ERR reply, and the connection goes on to answer the next line.
+func TestLineProtocolLongLine(t *testing.T) {
+	art, _, _ := testArtifact(t)
+	s, err := NewServer(art, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	client, server := net.Pipe()
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		s.serveConn(server, s.done)
+	}()
+	written := make(chan error, 1)
+	go func() {
+		_, err := io.WriteString(client, strings.Repeat("a", maxLine+10)+"\nx y .\n")
+		written <- err
+	}()
+	rd := bufio.NewReader(client)
+	first, err := rd.ReadString('\n')
+	if err != nil {
+		t.Fatalf("no reply to the long line: %v", err)
+	}
+	if want := "ERR " + errLineTooLong.Error() + "\n"; first != want {
+		t.Fatalf("reply to the long line %q, want %q", first, want)
+	}
+	second, err := rd.ReadString('\n')
+	if err != nil {
+		t.Fatalf("no reply to the line after the long one: %v", err)
+	}
+	if got := strings.Fields(second); len(got) != 3 {
+		t.Fatalf("reply %q to \"x y .\", want 3 tags", second)
+	}
+	if err := <-written; err != nil {
+		t.Fatal(err)
+	}
+	client.Close() // lint:checked errdrop: closing the in-memory pipe only to end the server's read loop
+	<-exited
+}
+
+// TestLineSplitter pins the line protocol's length limit: a line of
+// maxLine bytes, terminator included, is a request; one byte more is too
+// long, whether it ends in a terminator or in the end of the stream, and
+// whether the stream's last bytes arrive with its end or before it.
+func TestLineSplitter(t *testing.T) {
+	type tok struct {
+		text    string
+		tooLong bool
+	}
+	long := strings.Repeat("b", maxLine)
+	for _, tc := range []struct {
+		in   string
+		want []tok
+	}{
+		{long[1:] + "\nc\n", []tok{{long[1:], false}, {"c", false}}},
+		{long + "\nc\r\n", []tok{{"", true}, {"c", false}}},
+		{"c\n" + long + "dd", []tok{{"c", false}, {"", true}}},
+		{long + long + "\n\n", []tok{{"", true}, {"", false}}},
+	} {
+		for _, r := range []io.Reader{strings.NewReader(tc.in), iotest.DataErrReader(strings.NewReader(tc.in))} {
+			var lines lineSplitter
+			sc := bufio.NewScanner(r)
+			sc.Buffer(make([]byte, 0, 64<<10), maxLine)
+			sc.Split(lines.split)
+			var got []tok
+			for sc.Scan() {
+				got = append(got, tok{sc.Text(), lines.tooLong})
+			}
+			if err := sc.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("input of %d bytes from a %T: %d tokens, want %d", len(tc.in), r, len(got), len(tc.want))
+				for i := range got {
+					t.Logf("token %d: %d bytes, too long %v", i, len(got[i].text), got[i].tooLong)
+				}
+			}
 		}
 	}
 }
