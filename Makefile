@@ -103,12 +103,15 @@ bench-lint-smoke:
 bench-lsh-smoke:
 	$(GO) test -run 'TestLSHRecallRegression|TestLSHDeterministicAcrossWorkers|TestLSHCandidateAllocGuard' -count=1 ./internal/graph
 
-# Serving smoke (<2 s of test time): in-process requests through the real
-# batching server — the golden identity check (served tags == System.Test
-# output), the p99 latency gate under a deliberately loose bound, and the
-# zero-allocation warm-request guard.
+# Serving smoke (~8 s of test time): in-process requests through the real
+# server — the golden identity check (served tags == System.Test output),
+# the p99 latency gate under a deliberately loose bound, the
+# zero-allocation warm-request guard, fast-fail refusal at a full queue,
+# and the -race chaos test (16 clients, random deadlines, a mid-flight
+# Close: every call answered once, the counters account for every call).
 bench-serving-smoke:
-	$(GO) test -run 'TestServingGolden|TestServingSmoke|TestServingAllocGuard' -count=1 ./internal/serving
+	$(GO) test -run 'TestServingGolden|TestServingSmoke|TestServingAllocGuard|TestServingOverload' -count=1 ./internal/serving
+	$(GO) test -race -run 'TestServingChaos' -count=1 ./internal/serving
 
 # Smoke test of the repository benchmark (~10 s): all four workloads at
 # small sizes with their correctness checks, and the compare verdicts.

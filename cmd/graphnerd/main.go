@@ -1,20 +1,21 @@
 // Command graphnerd is the long-lived GraphNER tagging service: it loads
-// one frozen artifact (written by `graphner freeze`), coalesces
-// concurrent tagging requests into shared per-worker batches, enforces
-// per-request deadlines with graceful shedding, and optionally folds
-// served traffic back into the similarity graph on a background cadence.
+// one frozen artifact (written by `graphner freeze`), answers concurrent
+// tagging requests from a bounded queue with a fixed set of workers,
+// enforces per-request deadlines with graceful shedding, and optionally
+// folds served traffic back into the similarity graph on a background
+// cadence.
 //
 //	graphnerd -artifact artifact.gna [-addr :8080] [-line-addr :8081]
-//	          [-workers N] [-batch 32] [-batch-wait 0] [-deadline 1s]
-//	          [-queue N] [-cache 4096] [-stream] [-stream-batch 256]
+//	          [-workers N] [-deadline 1s] [-queue N] [-cache 4096]
+//	          [-stream] [-stream-batch 256]
 //
 // HTTP endpoints (on -addr): POST /tag (JSON {"sentences": [...],
 // "deadline_ms": 0}), GET /healthz, GET /statusz. The line protocol (on
 // -line-addr, disabled when empty) answers one raw sentence per line
 // with its space-separated BIO tags, or "ERR <message>".
 //
-// Shutdown: SIGINT/SIGTERM stop the listeners, drain in-flight requests,
-// and answer anything still queued with a closed error.
+// Shutdown: SIGINT/SIGTERM stop the listeners, answer every request
+// still queued, and refuse new ones with a closed error.
 package main
 
 import (
@@ -26,7 +27,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -45,11 +45,9 @@ func run() error {
 	artifactPath := flag.String("artifact", "", "frozen artifact file (required; see `graphner freeze`)")
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	lineAddr := flag.String("line-addr", "", "line-protocol listen address (disabled when empty)")
-	workers := flag.Int("workers", 0, "batch workers (0 = GOMAXPROCS)")
-	batch := flag.Int("batch", 32, "max requests coalesced per worker batch")
-	batchWait := flag.Duration("batch-wait", 0, "how long a non-full batch lingers for stragglers")
+	workers := flag.Int("workers", 0, "request workers (0 = GOMAXPROCS)")
 	deadline := flag.Duration("deadline", time.Second, "default per-request deadline (0 = none)")
-	queue := flag.Int("queue", 0, "request queue depth (0 = 4×workers×batch)")
+	queue := flag.Int("queue", 0, "request queue depth (0 = 160×workers)")
 	cache := flag.Int("cache", 4096, "compiled-sentence cache entries per worker")
 	stream := flag.Bool("stream", false, "fold served traffic back into the similarity graph")
 	streamBatch := flag.Int("stream-batch", 256, "with -stream: sentences per background fold-in")
@@ -76,8 +74,6 @@ func run() error {
 
 	cfg := serving.Config{
 		Workers:    *workers,
-		BatchMax:   *batch,
-		BatchWait:  *batchWait,
 		Deadline:   *deadline,
 		QueueDepth: *queue,
 		CacheCap:   *cache,
@@ -101,7 +97,8 @@ func run() error {
 			httpErr <- err
 		}
 	}()
-	fmt.Printf("serving HTTP on %s with %d workers\n", *addr, effectiveWorkers(*workers))
+	rc := srv.Config()
+	fmt.Printf("serving HTTP on %s with %d workers, queue depth %d\n", *addr, rc.Workers, rc.QueueDepth)
 
 	var lineLn net.Listener
 	lineErr := make(chan error, 1)
@@ -137,14 +134,7 @@ func run() error {
 	}
 	srv.Close()
 	st := srv.Stats()
-	fmt.Printf("served %d requests in %d batches (%d shed, %d overloaded, %d fold-ins)\n",
-		st.Served, st.Batches, st.Shed, st.Overloaded, st.Folds)
+	fmt.Printf("served %d requests (%d shed, %d overloaded, %d fold-ins)\n",
+		st.Served, st.Shed, st.Overloaded, st.Folds)
 	return nil
-}
-
-func effectiveWorkers(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
 }

@@ -20,7 +20,7 @@ import (
 func fuzzServer(f *testing.F) *Server {
 	f.Helper()
 	art, _, _ := testArtifact(f)
-	s, err := NewServer(art, Config{Workers: 2, BatchMax: 8})
+	s, err := NewServer(art, Config{Workers: 2})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -116,8 +116,8 @@ func (s *Server) handleTag(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// tagWithDeadline is Tag with an explicit deadline (zero → server
-// default).
+// tagWithDeadline is TagInto into a buffer it grows until the sentence
+// fits (zero deadline → server default).
 func (s *Server) tagWithDeadline(text string, deadline time.Time) ([]corpus.Tag, error) {
 	tags := make([]corpus.Tag, 64)
 	for {

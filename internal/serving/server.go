@@ -26,20 +26,12 @@ var (
 
 // Config parameterizes a Server.
 type Config struct {
-	// Workers is the number of batch workers (default GOMAXPROCS). Each
-	// owns a Scratch — a compiled-sentence cache plus flat buffers — so
-	// memory scales linearly with it.
+	// Workers is the number of request workers (default GOMAXPROCS).
+	// Each owns a Scratch — a compiled-sentence cache plus flat buffers —
+	// so memory scales linearly with it.
 	Workers int
-	// BatchMax caps how many queued requests one worker coalesces into a
-	// shared batch (default 32).
-	BatchMax int
-	// BatchWait is how long a worker holding a non-full batch lingers
-	// for more requests before running it. Zero (the default) runs
-	// whatever a non-blocking queue drain yields — lowest latency; a few
-	// hundred microseconds trades latency for fuller batches.
-	BatchWait time.Duration
 	// QueueDepth bounds the shared request queue; submissions beyond it
-	// fail fast with ErrOverloaded (default 4×Workers×BatchMax).
+	// fail fast with ErrOverloaded (default 160×Workers).
 	QueueDepth int
 	// Deadline is the default per-request deadline applied when the
 	// caller does not supply one; zero means no default deadline.
@@ -71,6 +63,12 @@ type StreamConfig struct {
 	MaxBuffered int
 }
 
+// defaultQueuePerWorker is the default queue depth per worker. 160 keeps
+// the in-flight load the server admitted when its workers batched (up to
+// 32 requests in hand plus 128 queued per worker), so overload is still
+// refused where it was; a deeper queue would hide it as latency.
+const defaultQueuePerWorker = 160
+
 // result is what a worker reports back to the submitting goroutine.
 type result struct {
 	n   int
@@ -87,23 +85,23 @@ type request struct {
 	done     chan result
 }
 
-// Server coalesces concurrent tagging requests into shared per-worker
-// batches over one frozen Artifact. Submissions enqueue onto a bounded
-// queue; each worker drains a batch, sheds requests whose deadline
-// already passed, and answers the rest from its private Scratch. A warm
-// request — sentence cached, queue uncontended — completes without heap
+// Server answers concurrent tagging requests over one frozen Artifact.
+// Submissions enqueue onto a bounded queue; each worker takes one
+// request at a time, sheds it if its deadline already passed, and
+// otherwise answers it from its private Scratch. A warm request —
+// sentence cached, queue uncontended — completes without heap
 // allocations.
 type Server struct {
 	cfg    Config
 	tagger *Tagger
 	queue  chan *request
-	done   chan struct{}
+	done   chan struct{} // closed by Close; ends idle line-protocol connections
 	wg     sync.WaitGroup
 
 	// submitMu makes shutdown airtight: submitters hold it shared
 	// around the closed-check + enqueue, Close holds it exclusively
-	// while flipping closed, so no request can enter the queue after
-	// the final drain.
+	// while flipping closed, so no request can enter the queue once
+	// Close may close it.
 	submitMu sync.RWMutex
 	closed   bool
 
@@ -112,7 +110,6 @@ type Server struct {
 	served     atomic.Int64
 	shed       atomic.Int64
 	overloaded atomic.Int64
-	batches    atomic.Int64
 	folds      atomic.Int64
 
 	streamMu  sync.Mutex
@@ -130,11 +127,8 @@ func NewServer(art *graphner.Artifact, cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 32
-	}
 	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.Workers * cfg.BatchMax
+		cfg.QueueDepth = defaultQueuePerWorker * cfg.Workers
 	}
 	if cfg.CacheCap <= 0 {
 		cfg.CacheCap = defaultCacheCap
@@ -216,20 +210,10 @@ func (s *Server) TagInto(text string, deadline time.Time, tags []corpus.Tag) (in
 	return res.n, res.err
 }
 
-// Tag is the allocating convenience wrapper around TagInto.
+// Tag is the allocating convenience wrapper around TagInto, with the
+// configured default deadline.
 func (s *Server) Tag(text string) ([]corpus.Tag, error) {
-	tags := make([]corpus.Tag, 64)
-	for {
-		n, err := s.TagInto(text, time.Time{}, tags)
-		if err == ErrShortBuffer {
-			tags = make([]corpus.Tag, n)
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		return tags[:n], nil
-	}
+	return s.tagWithDeadline(text, time.Time{})
 }
 
 // release scrubs and pools a request whose done channel is known empty.
@@ -238,70 +222,13 @@ func (s *Server) release(req *request) {
 	s.reqPool.Put(req)
 }
 
-// worker drains coalesced batches until shutdown. The spawn site holds
-// the s.wg.Done obligation.
+// worker answers queued requests one at a time, each with exactly one
+// result: shed if its deadline passed while queued, otherwise tagged
+// from this worker's Scratch. It returns once Close has closed the queue
+// and the queue is empty. The spawn site holds the s.wg.Done obligation.
 func (s *Server) worker() {
 	sc := s.tagger.NewScratch()
-	batch := make([]*request, 0, s.cfg.BatchMax)
-	var linger *time.Timer
-	if s.cfg.BatchWait > 0 {
-		linger = time.NewTimer(s.cfg.BatchWait)
-		if !linger.Stop() {
-			<-linger.C
-		}
-	}
-	for {
-		select {
-		case <-s.done:
-			return
-		case req := <-s.queue:
-			batch = append(batch[:0], req)
-			s.fill(&batch, linger)
-			s.runBatch(sc, batch)
-		}
-	}
-}
-
-// fill coalesces queued requests into batch up to BatchMax: first a
-// non-blocking drain, then (when configured) one bounded linger for
-// stragglers so lightly loaded servers still form batches.
-func (s *Server) fill(batch *[]*request, linger *time.Timer) {
-drain:
-	for len(*batch) < s.cfg.BatchMax {
-		select {
-		case req := <-s.queue:
-			*batch = append(*batch, req)
-		default:
-			break drain
-		}
-	}
-	if linger == nil || len(*batch) >= s.cfg.BatchMax {
-		return
-	}
-	linger.Reset(s.cfg.BatchWait)
-	for len(*batch) < s.cfg.BatchMax {
-		select {
-		case req := <-s.queue:
-			*batch = append(*batch, req)
-		case <-linger.C:
-			return
-		case <-s.done:
-			if !linger.Stop() {
-				<-linger.C
-			}
-			return
-		}
-	}
-	if !linger.Stop() {
-		<-linger.C
-	}
-}
-
-// runBatch answers every request in the batch: deadline-shed the stale
-// ones, tag the rest from this worker's Scratch. Every request receives
-// exactly one result.
-func (s *Server) runBatch(sc *Scratch, batch []*request) {
-	for _, req := range batch {
+	for req := range s.queue {
 		if !req.deadline.IsZero() && time.Now().After(req.deadline) {
 			s.shed.Add(1)
 			req.done <- result{err: ErrDeadlineExceeded}
@@ -316,7 +243,6 @@ func (s *Server) runBatch(sc *Scratch, batch []*request) {
 		}
 		req.done <- result{n: n, err: err}
 	}
-	s.batches.Add(1)
 }
 
 // observe buffers a served sentence for the next background fold-in,
@@ -373,25 +299,35 @@ func (s *Server) fold() {
 type Stats struct {
 	// Served counts successfully answered requests; Shed counts
 	// deadline-expired ones; Overloaded counts submissions rejected at
-	// a full queue; Batches counts coalesced worker batches; Folds
-	// counts completed streaming fold-ins.
-	Served, Shed, Overloaded, Batches, Folds int64
+	// a full queue; Folds counts completed streaming fold-ins.
+	Served, Shed, Overloaded int64
+	// Batches is Served + Shed: each worker answers one request at a
+	// time, so every served or shed request is its own batch.
+	//
+	// Deprecated: kept for readers of the old batch counter; use Served
+	// and Shed.
+	Batches int64
+	Folds   int64
 }
 
 // Stats returns the current counters.
 func (s *Server) Stats() Stats {
+	served, shed := s.served.Load(), s.shed.Load()
 	return Stats{
-		Served:     s.served.Load(),
-		Shed:       s.shed.Load(),
+		Served:     served,
+		Shed:       shed,
 		Overloaded: s.overloaded.Load(),
-		Batches:    s.batches.Load(),
+		Batches:    served + shed,
 		Folds:      s.folds.Load(),
 	}
 }
 
-// Close shuts the server down: new submissions fail with ErrClosed,
-// workers exit, in-flight fold-ins finish, and every request still queued
-// is answered with ErrClosed. Close is idempotent.
+// Config returns the server's configuration with every default resolved.
+func (s *Server) Config() Config { return s.cfg }
+
+// Close shuts the server down: new submissions fail with ErrClosed, the
+// workers answer every request still queued and exit, and then in-flight
+// fold-ins finish. Close is idempotent.
 func (s *Server) Close() {
 	s.submitMu.Lock()
 	if s.closed {
@@ -401,14 +337,7 @@ func (s *Server) Close() {
 	s.closed = true
 	s.submitMu.Unlock()
 	close(s.done)
+	close(s.queue)
 	s.wg.Wait()
 	s.foldWG.Wait()
-	for {
-		select {
-		case req := <-s.queue:
-			req.done <- result{err: ErrClosed}
-		default:
-			return
-		}
-	}
 }

@@ -7,13 +7,16 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -81,11 +84,11 @@ func testArtifact(t testing.TB) (*graphner.Artifact, *corpus.Corpus, [][]corpus.
 }
 
 // TestServingGolden is the end-to-end identity check: every frozen
-// sentence served through the batching server gets exactly the labels
+// sentence served through the server gets exactly the labels
 // System.Test produced before freezing.
 func TestServingGolden(t *testing.T) {
 	art, test, want := testArtifact(t)
-	s, err := NewServer(art, Config{Workers: 2, BatchMax: 8})
+	s, err := NewServer(art, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +109,11 @@ func TestServingGolden(t *testing.T) {
 }
 
 // TestServingConcurrent hammers the server from many goroutines and
-// checks every response against the golden labels — exercising batch
-// coalescing under real contention.
+// checks every response against the golden labels — exercising the
+// shared queue and the workers' private scratches under real contention.
 func TestServingConcurrent(t *testing.T) {
 	art, test, want := testArtifact(t)
-	s, err := NewServer(art, Config{Workers: 4, BatchMax: 8, BatchWait: 100 * time.Microsecond})
+	s, err := NewServer(art, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +143,8 @@ func TestServingConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if st := s.Stats(); st.Batches <= 0 {
-		t.Error("no batches recorded")
+	if st := s.Stats(); st.Served != int64(len(test.Sentences)) {
+		t.Errorf("Served = %d, want %d", st.Served, len(test.Sentences))
 	}
 }
 
@@ -189,65 +192,202 @@ func TestServingDeadline(t *testing.T) {
 	}
 }
 
-// TestServingOverload fills the bounded queue of a worker-less server (a
-// same-package construction) and checks fast-fail shedding.
+// TestServingOverload fills the bounded queue of a server whose one
+// worker has not started yet (a same-package construction) and checks
+// fast-fail shedding. It then closes the server with the request still
+// queued: submissions fail with ErrClosed at once, and Close waits for
+// the worker to answer the queued request before it returns.
 func TestServingOverload(t *testing.T) {
-	art, test, _ := testArtifact(t)
-	s, err := NewServer(art, Config{Workers: 1, QueueDepth: 1})
+	art, test, want := testArtifact(t)
+	tagger, err := NewTagger(art, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stop the workers but keep the queue: requests enqueued now are
-	// only drained by Close.
-	close(s.done)
-	s.wg.Wait()
+	s := &Server{
+		cfg:    Config{Workers: 1, QueueDepth: 1},
+		tagger: tagger,
+		queue:  make(chan *request, 1),
+		done:   make(chan struct{}),
+	}
+	s.reqPool.New = func() any { return &request{done: make(chan result, 1)} }
 
+	text := test.Sentences[0].Text
 	tags := make([]corpus.Tag, 64)
-	var wg sync.WaitGroup
-	wg.Add(1)
 	queued := make(chan error, 1)
 	go func() {
-		defer wg.Done()
-		_, err := s.TagInto(test.Sentences[0].Text, time.Time{}, tags)
+		_, err := s.TagInto(text, time.Time{}, tags)
 		queued <- err
 	}()
-	// Wait until the queue holds the first request, then overflow it.
 	for len(s.queue) == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := s.TagInto(test.Sentences[0].Text, time.Time{}, make([]corpus.Tag, 64)); err != ErrOverloaded {
+	extra := make([]corpus.Tag, 64)
+	if _, err := s.TagInto(text, time.Time{}, extra); err != ErrOverloaded {
 		t.Fatalf("full queue: err = %v, want ErrOverloaded", err)
 	}
 	if st := s.Stats(); st.Overloaded != 1 {
 		t.Errorf("Overloaded = %d, want 1", st.Overloaded)
 	}
 
-	// Close answers the still-queued request with ErrClosed.
-	s.closeQueueOnly()
-	if err := <-queued; err != ErrClosed {
-		t.Errorf("queued request at close: err = %v, want ErrClosed", err)
+	s.wg.Add(1) // the worker started below
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	for {
+		_, err := s.TagInto(text, time.Time{}, extra)
+		if err == ErrClosed {
+			break
+		}
+		if err != ErrOverloaded {
+			t.Fatalf("submit while closing: err = %v, want ErrOverloaded or ErrClosed", err)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	wg.Wait()
-	if _, err := s.TagInto(test.Sentences[0].Text, time.Time{}, tags); err != ErrClosed {
-		t.Errorf("submit after close: err = %v, want ErrClosed", err)
+	go func() {
+		defer s.wg.Done()
+		s.worker()
+	}()
+	<-closed
+	if st := s.Stats(); st.Served != 1 {
+		t.Errorf("Close returned with Served = %d; want the queued request answered first", st.Served)
+	}
+	if err := <-queued; err != nil {
+		t.Fatalf("request queued at close: %v", err)
+	}
+	if !reflect.DeepEqual(tags[:len(want[0])], want[0]) {
+		t.Errorf("request queued at close: served %v, want %v", tags[:len(want[0])], want[0])
 	}
 }
 
-// closeQueueOnly is Close for a server whose done channel is already
-// closed (test-only).
-func (s *Server) closeQueueOnly() {
-	s.submitMu.Lock()
-	s.closed = true
-	s.submitMu.Unlock()
-	s.wg.Wait()
-	s.foldWG.Wait()
-	for {
-		select {
-		case req := <-s.queue:
-			req.done <- result{err: ErrClosed}
-		default:
-			return
+// TestServingDefaultQueueDepth pins the default admission bound at 160
+// queued requests per worker, with Workers set and with it defaulted.
+func TestServingDefaultQueueDepth(t *testing.T) {
+	art, _, _ := testArtifact(t)
+	for _, workers := range []int{0, 1, 3} {
+		s, err := NewServer(art, Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
+		cfg, depth := s.Config(), cap(s.queue)
+		s.Close()
+		want := workers
+		if want == 0 {
+			want = runtime.GOMAXPROCS(0)
+		}
+		if cfg.Workers != want || cfg.QueueDepth != 160*want || depth != 160*want {
+			t.Errorf("Workers %d: resolved %d workers, queue depth %d (channel %d); want %d and %d",
+				workers, cfg.Workers, cfg.QueueDepth, depth, want, 160*want)
+		}
+	}
+}
+
+// TestServingChaos drives 16 clients with random deadlines — none,
+// already past, or a few milliseconds — into a small queue, and closes
+// the server while requests are in flight. Every call must return, with
+// the golden tags or with ErrOverloaded, ErrDeadlineExceeded or
+// ErrClosed, and the server's counters must account for every call. In
+// stream mode, fold-ins running alongside may change the tags, so only
+// their count is checked there.
+func TestServingChaos(t *testing.T) {
+	art, test, want := testArtifact(t)
+	for _, stream := range []bool{false, true} {
+		t.Run(fmt.Sprintf("stream=%v", stream), func(t *testing.T) {
+			cfg := Config{Workers: 2, QueueDepth: 8}
+			if stream {
+				cfg.Stream = &StreamConfig{BatchSize: 16}
+			}
+			s, err := NewServer(art, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const clients = 16
+			var calls, closedErrs atomic.Int64
+			var wg sync.WaitGroup
+			errs := make(chan error, clients)
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(c)))
+					tags := make([]corpus.Tag, 256)
+					for i := 0; ; i++ {
+						k := (c + i*clients) % len(test.Sentences)
+						var deadline time.Time
+						switch rng.Intn(3) {
+						case 1:
+							deadline = time.Now().Add(-time.Millisecond)
+						case 2:
+							deadline = time.Now().Add(time.Duration(1+rng.Intn(3)) * time.Millisecond)
+						}
+						calls.Add(1)
+						n, err := s.TagInto(test.Sentences[k].Text, deadline, tags)
+						switch {
+						case err == ErrClosed:
+							closedErrs.Add(1)
+							return
+						case err == ErrOverloaded:
+							// Back off as a client would, instead of
+							// spinning on the full queue.
+							time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
+						case err == ErrDeadlineExceeded:
+						case err != nil:
+							errs <- fmt.Errorf("sentence %d: %w", k, err)
+							return
+						case stream && n != len(want[k]):
+							errs <- fmt.Errorf("sentence %d: %d tags, want %d", k, n, len(want[k]))
+							return
+						case !stream && !reflect.DeepEqual(tags[:n], want[k]):
+							errs <- fmt.Errorf("sentence %d: served %v, want %v", k, tags[:n], want[k])
+							return
+						}
+					}
+				}(c)
+			}
+			finished := make(chan struct{})
+			go func() {
+				wg.Wait()
+				close(finished)
+			}()
+			// Close mid-flight: once 200 requests were served, or a
+			// minute passed, or every client stopped on an error.
+			giveUp := time.After(time.Minute)
+		wait:
+			for s.Stats().Served < 200 {
+				select {
+				case <-finished:
+					break wait
+				case <-giveUp:
+					break wait
+				case <-time.After(time.Millisecond):
+				}
+			}
+			closeDone := make(chan struct{})
+			go func() {
+				s.Close()
+				close(closeDone)
+			}()
+			timeout := time.After(time.Minute)
+			for _, ch := range []chan struct{}{closeDone, finished} {
+				select {
+				case <-ch:
+				case <-timeout:
+					t.Fatal("Close or a call still pending a minute after Close began")
+				}
+			}
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+			st := s.Stats()
+			if got := st.Served + st.Shed + st.Overloaded + closedErrs.Load(); got != calls.Load() {
+				t.Errorf("served %d + shed %d + overloaded %d + closed %d = %d, want %d calls",
+					st.Served, st.Shed, st.Overloaded, closedErrs.Load(), got, calls.Load())
+			}
+			t.Logf("%d calls: served %d, shed %d, overloaded %d, closed %d, folds %d",
+				calls.Load(), st.Served, st.Shed, st.Overloaded, closedErrs.Load(), st.Folds)
+		})
 	}
 }
 
@@ -334,14 +474,14 @@ func TestServingStreamStartsFrozen(t *testing.T) {
 
 // TestServingAllocGuard locks in the zero-allocation warm path: with the
 // sentence compiled and the pools warm, a full request through the
-// server — submit, coalesce, posteriors, combine, decode, respond —
+// server — submit, queue, posteriors, combine, decode, respond —
 // allocates nothing.
 func TestServingAllocGuard(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; counts are only meaningful in normal builds")
 	}
 	art, test, _ := testArtifact(t)
-	s, err := NewServer(art, Config{Workers: 1, BatchMax: 4})
+	s, err := NewServer(art, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +512,7 @@ func TestServingAllocGuard(t *testing.T) {
 // the real server must keep p99 under a deliberately loose bound.
 func TestServingSmoke(t *testing.T) {
 	art, test, _ := testArtifact(t)
-	s, err := NewServer(art, Config{BatchMax: 16})
+	s, err := NewServer(art, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Package serving hosts the long-lived tagging service built on a frozen
-// graphner.Artifact: a request-coalescing batch server (Server) over an
+// graphner.Artifact: a bounded-queue request server (Server) over an
 // allocation-free per-sentence inference core (Tagger). The served labels
 // are bit-identical to System.Test's for any sentence of the frozen
 // corpus — the same α·P_s + (1−α)·X mixture decoded by the same tempered
