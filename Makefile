@@ -68,9 +68,10 @@ fuzz-smoke:
 	$(GO) test -run 'TestPoolLife|TestLockAtCall|TestDeterminism|TestErrDrop|TestDiffRoundTrip' -count=1 ./internal/analysis ./cmd/graphnerlint
 
 # Fast performance-regression gate (<30s): the incremental-maintenance
-# smoke and golden tests, the bit-identity checks of the pair-once k-NN
-# search and the byte feature-counting pass (every feature mode) against
-# their reference implementations, the block-parallel counting pass at
+# smoke and golden tests, the bit-identity checks of the pruned k-NN
+# search (random vectors, a BC2GM build, and a stress test where the bounds
+# decide rows and pruning must engage) and the byte feature-counting pass
+# (every feature mode) against their reference implementations, the block-parallel counting pass at
 # Workers 1/2/3/8 and the Updater's count runs against a fresh count, the
 # block-parallel CRF compile against the serial one, the loss-schedule
 # check of the propagation kernel, the streaming contracts (the streamer's
@@ -84,7 +85,7 @@ fuzz-smoke:
 # CRF decode paths and the training kernel (testing.AllocsPerRun bounds
 # compiled into the tests themselves).
 bench-smoke:
-	$(GO) test -run 'TestIncrementalSmoke|TestKNNIncrementalOneBatchGolden|TestPatchCSRMatchesBuildCSR|TestKNNMatchesReference|TestBuildFeatureModesMatchReference|TestBuildWorkersIdentical|TestUpdaterRunsMatchFreshCount' -count=1 ./internal/graph
+	$(GO) test -run 'TestIncrementalSmoke|TestKNNIncrementalOneBatchGolden|TestPatchCSRMatchesBuildCSR|TestKNNMatchesReference|TestKNNPruningStress|TestBuildFeatureModesMatchReference|TestBuildWorkersIdentical|TestUpdaterRunsMatchFreshCount' -count=1 ./internal/graph
 	$(GO) test -run 'TestSweepAllocGuard|TestLossEverySchedule' -count=1 ./internal/propagate
 	$(GO) test -run 'TestStreamerInitialMatchesTest|TestStreamerFoldMatchesFromScratch|TestStreamerBatchOrderInvariance' -count=1 ./internal/graphner
 	$(GO) test -run 'TestDecodeAllocGuard|TestPosteriorsAllocGuard|TestCompileSentenceAllocGuard|TestSentenceGradientAllocGuard|TestSentenceGradientMatchesReference|TestPooledInferenceMatchesExact|TestLBFGSMatchesReference|TestObjectiveEvalMatchesReference|TestCompileMatchesSerial|TestCompileMemoMatchesVisitor|TestCompileMemoConcurrent|TestCompileMemoBound' -count=1 ./internal/crf

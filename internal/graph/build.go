@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -81,11 +82,12 @@ type BuilderConfig struct {
 	// MaxDF drops features occurring at more than this many vertices from
 	// the k-NN search: a capped feature generates no candidates and adds
 	// nothing to dot products, but still counts in the vector norms. 0
-	// means no cap. High-document-frequency features generate enormous
-	// candidate lists, so capping them cuts the search cost — but it
-	// changes the graph: on a 600-sentence BC2GM corpus MaxDF 2000 keeps
-	// the uncapped neighbour set in 97.4% of rows and MaxDF 500 in 80.4%,
-	// and weights differ in most rows (BenchmarkAblation_KNNMaxDF).
+	// means no cap. The cap changes the graph: on a 600-sentence BC2GM
+	// corpus MaxDF 2000 keeps the uncapped neighbour set in 97.4% of
+	// rows and MaxDF 500 in 80.4%, and weights differ in most rows. Since
+	// the search skips most high-df postings by its norm bounds anyway,
+	// MaxDF 2000 builds that graph no faster than no cap, and MaxDF 500
+	// only slightly faster (BenchmarkAblation_KNNMaxDF).
 	MaxDF int
 	// Workers bounds the parallelism of the k-NN search (default
 	// GOMAXPROCS).
@@ -106,26 +108,22 @@ type BuilderConfig struct {
 	// streaming in the remainder.
 	Stats *Stats
 	// GraphMode selects the nearest-neighbour search algorithm:
-	// ModeExact (the default) runs the exact inverted-index merge;
-	// ModeLSH runs banded random-hyperplane locality-sensitive hashing
-	// with exact cosine re-ranking — the remedy for the construction
+	// ModeExact (the default) runs knn's exact pruned search; ModeLSH
+	// runs banded random-hyperplane locality-sensitive hashing with
+	// exact cosine re-ranking, an answer to the construction
 	// scalability the paper's conclusion flags as an open problem.
-	// Recall is high but not perfect; see Recall, BENCH_lsh.json, and
-	// the graph package tests.
+	// Recall is high but not perfect, and up to 4,000 BC2GM sentences
+	// it builds slower than ModeExact; see Recall, `benchtables -lsh`,
+	// and the graph package tests.
 	GraphMode GraphMode
 	// LSH tunes the approximate search when GraphMode is ModeLSH.
 	LSH LSHConfig
 }
 
-// Build constructs the 3-gram similarity graph over the corpus (typically
-// the union of labelled and unlabelled data, per Algorithm 1): validate,
-// vectorize, search, assemble. The k-NN search is the exact pair-once
-// merge of knn, or the banded-LSH search of knnLSH when cfg.GraphMode is
-// ModeLSH.
-func Build(corp *corpus.Corpus, cfg BuilderConfig) (*Graph, error) {
-	if len(corp.Sentences) == 0 {
-		return nil, fmt.Errorf("graph: empty corpus")
-	}
+// resolve fills in cfg's defaults — K 10, the plain extractor, GOMAXPROCS
+// workers — and checks its Stats snapshot and MIFeatures Tags against a
+// corpus of nSents sentences. Build and NewUpdater both start here.
+func (cfg *BuilderConfig) resolve(nSents int) error {
 	if cfg.K <= 0 {
 		cfg.K = 10
 	}
@@ -136,15 +134,29 @@ func Build(corp *corpus.Corpus, cfg BuilderConfig) (*Graph, error) {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Stats != nil && cfg.Stats.mode != cfg.Mode {
-		return nil, fmt.Errorf("graph: stats snapshot was taken in %v mode, config wants %v", cfg.Stats.mode, cfg.Mode)
+		return fmt.Errorf("graph: stats snapshot was taken in %v mode, config wants %v", cfg.Stats.mode, cfg.Mode)
 	}
 	if cfg.Mode == MIFeatures && cfg.Stats == nil {
 		if cfg.Tags == nil {
-			return nil, fmt.Errorf("graph: MIFeatures mode requires Tags")
+			return fmt.Errorf("graph: MIFeatures mode requires Tags")
 		}
-		if len(cfg.Tags) != len(corp.Sentences) {
-			return nil, fmt.Errorf("graph: %d tag rows for %d sentences", len(cfg.Tags), len(corp.Sentences))
+		if len(cfg.Tags) != nSents {
+			return fmt.Errorf("graph: %d tag rows for %d sentences", len(cfg.Tags), nSents)
 		}
+	}
+	return nil
+}
+
+// Build constructs the 3-gram similarity graph over the corpus (typically
+// the union of labelled and unlabelled data, per Algorithm 1): validate,
+// vectorize, search, assemble. The k-NN search is the exact pruned search
+// of knn, or the banded-LSH search of knnLSH when cfg.GraphMode is ModeLSH.
+func Build(corp *corpus.Corpus, cfg BuilderConfig) (*Graph, error) {
+	if len(corp.Sentences) == 0 {
+		return nil, fmt.Errorf("graph: empty corpus")
+	}
+	if err := cfg.resolve(len(corp.Sentences)); err != nil {
+		return nil, err
 	}
 
 	if cfg.GraphMode == ModeLSH {
@@ -648,181 +660,357 @@ func buildPostings(vecs []sparseVec) [][]posting {
 }
 
 // knn finds, for every vertex, its K most cosine-similar vertices by an
-// exact inverted-index search that scores each unordered vertex pair once.
+// exact per-query search that stops early, after the norm bounds of L2AP
+// and L2Knng (Anastasiu & Karypis, ICDE 2014 and CIKM 2015).
 //
-// Query vi walks only the postings with v > vi (the upper triangle; each
-// postings list is sorted by vertex, so a binary search finds the start),
-// accumulating scores[c] = Σ q_f·c_f over q's uncapped features in
-// ascending id order. Each touched candidate's cosine w is computed once
-// and offered to both rows: Edge{c,w} to vi and Edge{vi,w} to c. The rows
-// are bit-identical to a per-query search from every endpoint:
+// Query q visits its uncapped features rarest first — ascending document
+// frequency (df), then id — accumulating partial dot products of the
+// candidates it touches. Those partials only feed bounds; a surviving
+// candidate is re-scored from scratch. Two suffix bounds of q cap what the
+// features from position j on can still add to a cosine: l2Tail[j] =
+// ‖q_{j..}‖/‖q‖ (Cauchy–Schwarz) and maxTail[j] = min(‖q_{j..}‖,
+// Σ_{i≥j}|q_i|·maxn_i)/‖q‖, where maxn_f is the largest |c_f|/‖c‖ over all
+// vertices. The search
 //
-//   - both endpoints sum the same IEEE products in the same ascending
-//     feature order (a·b == b·a exactly), and |q|·|c| commutes likewise;
-//   - the MaxDF cap tests the global document frequency, the same from
-//     both ends;
+//   - seeds the row once 4K candidates are touched, scoring exactly the 2K
+//     with the largest partial/‖c‖;
+//   - stops before position j once the row is full and maxTail[j] is below
+//     its K-th weight t: no untouched vertex can reach t;
+//   - then scores only the touched candidates whose upper bound
+//     partial/(‖q‖‖c‖) + min(maxTail[j], l2Tail[j]·tail_c[⌊log2 df_j⌋])
+//     reaches t. tail_c[b] is ‖c restricted to features with df ≥ 2^b‖/‖c‖,
+//     which covers c's share of every feature left, since those come in
+//     ascending df order.
+//
+// Every bound is inflated by boundSlack and a candidate is dropped only
+// when it falls more than pruneTol below t, which covers the rounding of
+// partials and bounds, so no vertex that could enter the row is skipped.
+// The rows are bit-identical to the per-query reference (scoreInto +
+// topK):
+//
+//   - an exact score sums q_f·c_f over c's ids in ascending order, picking
+//     the ids stamped in a dense copy of q's uncapped values: the same IEEE
+//     products in the same order as scoreInto's accumulation, divided by
+//     the same ‖q‖·‖c‖;
 //   - edgeLess is a strict total order, so a row's top-K does not depend
-//     on the order its edges are offered in.
+//     on which candidates are offered or in what order, as long as every
+//     one that could enter is offered.
 //
-// Each worker owns a full set of n top-K rows backed by one n·K Edge array
-// and takes the queries vi = w, w+W, …, which balances the triangle. After
-// the barrier the rows of workers 1..W−1 are folded into worker 0's, whose
-// backing array becomes the output (each row capped with a full slice
-// expression, so an append cannot spill into the next row). The extra
-// memory over the output rows themselves is (W−1)·n·K·16 bytes of edges,
-// plus 32 bytes per vertex per worker of row lengths, row bars, scores and
-// epochs — 1.9 MB of edges for 12k vertices, K=10, W=2.
+// A query that is not finite and well scaled, or that shares an uncapped
+// feature with such a vertex (see newKNNIndex), runs the reference walk
+// itself: with NaN weights edgeLess is no longer a total order, so only
+// the reference's own candidate order reproduces its row. PPMI vectors
+// never take that path.
+//
+// Each row is written only by its own query: workers take the queries
+// vi = w, w+W, … and write into one n·min(K, n−1) Edge backing (each row
+// capped with a full slice expression, so an append cannot spill into the
+// next row). Beyond the output, the search holds the postings, a bound
+// table of ⌊log2 max df⌋+1 float64s per vertex, maxn and two flags per
+// feature, and per worker dense candidate scratch (16 bytes per vertex)
+// and a stamped dense copy of q (12 bytes per feature).
 //
 // Zero-norm vertices get nil rows; a vertex with no candidates gets an
-// empty non-nil row.
-//
-// Touched candidates are marked with a per-worker epoch array rather than
-// by a nonzero score: with mixed-sign vector values a dot product can
-// cancel to exactly zero and must still yield its edge (PPMI values are
-// strictly positive, but knn is also exercised directly with arbitrary
-// vectors).
+// empty non-nil row. Touched candidates are marked with a per-worker epoch
+// rather than by a nonzero partial: with mixed-sign vector values a dot
+// product can cancel to exactly zero and must still yield its edge.
 func knn(vecs []sparseVec, cfg BuilderConfig) [][]Edge {
-	n := len(vecs)
-	postings := buildPostings(vecs)
-	workers := cfg.Workers
-	rows := make([]topKRows, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rows[w] = newTopKRows(n, cfg.K)
-			knnTriangle(vecs, postings, cfg.MaxDF, w, workers, &rows[w])
-		}(w)
-	}
-	wg.Wait()
+	rows, _ := knnSearch(vecs, cfg)
+	return rows
+}
 
-	// Fold workers 1..W−1 into worker 0's rows; the row blocks are
-	// disjoint, so the fold runs in parallel too.
-	dst := &rows[0]
-	for w := 0; w < workers; w++ {
+// knnStats counts a knn search's work: postings visited while
+// accumulating partial dots, and candidates scored exactly.
+type knnStats struct {
+	postings, scored int64
+}
+
+// knnSearch is knn, also returning how much work the search did.
+func knnSearch(vecs []sparseVec, cfg BuilderConfig) ([][]Edge, knnStats) {
+	n := len(vecs)
+	ix := newKNNIndex(vecs, cfg.MaxDF)
+	width := min(cfg.K, max(n-1, 0))
+	buf := make([]Edge, n*width)
+	out := make([][]Edge, n)
+	stats := make([]knnStats, cfg.Workers)
+	var wg sync.WaitGroup
+	for w := range stats {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for v := w * n / workers; v < (w+1)*n/workers; v++ {
-				for o := 1; o < workers; o++ {
-					for _, e := range rows[o].row(v) {
-						if dst.admits(int32(v), e) {
-							dst.insert(int32(v), e)
-						}
-					}
+			s := newKNNSearcher(ix, cfg.K)
+			for vi := w; vi < n; vi += len(stats) {
+				if vecs[vi].norm != 0 {
+					base := vi * width
+					out[vi] = s.search(int32(vi), buf[base:base:base+width])
 				}
 			}
+			stats[w] = s.stats
 		}(w)
 	}
 	wg.Wait()
-	out := make([][]Edge, n)
-	for v := range out {
-		if vecs[v].norm != 0 {
-			out[v] = dst.row(v)
-		}
+	var total knnStats
+	for _, s := range stats {
+		total.postings += s.postings
+		total.scored += s.scored
 	}
-	return out
+	return out, total
 }
 
-// knnTriangle runs worker w's share of knn's upper-triangle search: the
-// queries vi = w, w+workers, …, each scored against the candidates c > vi
-// and offered to both rows of rs.
-func knnTriangle(vecs []sparseVec, postings [][]posting, maxDF, w, workers int, rs *topKRows) {
-	n := len(vecs)
-	scores := make([]float64, n)
-	seen := make([]int32, n) // epoch of the last query that touched c
-	epoch := int32(0)
-	for vi := w; vi < n; vi += workers {
-		q := &vecs[vi]
-		if q.norm == 0 {
+const (
+	// boundSlack inflates every precomputed bound to cover its rounding.
+	boundSlack = 1 + 1e-9
+	// pruneTol is the least margin, below the row's K-th weight, by which
+	// a bound must fall to prune; knnSearcher.search widens it with the
+	// query's length, since summation error grows with the terms summed.
+	pruneTol = 1e-12
+)
+
+// knnIndex is the read-only state the queries of one knn search share,
+// built in O(nnz).
+type knnIndex struct {
+	vecs     []sparseVec
+	postings [][]posting
+	maxDF    int
+	// maxn[f] is the largest |c_f|/‖c‖ over the bounded vertices.
+	maxn []float64
+	// tail[c·nb+b] is ‖c restricted to features with df ≥ 2^b‖/‖c‖.
+	nb   int
+	tail []float64
+	// inv[c] is 1/‖c‖, or 0 when c is zero or unbounded.
+	inv []float64
+	// unbounded[f] marks a feature on whose postings some vertex is not
+	// finite and well scaled; unboundedV marks those vertices.
+	unbounded, unboundedV []bool
+}
+
+// newKNNIndex builds the postings and the norm bounds of knn's search. A
+// vertex is bounded when its norm lies in [1e-150, 1e150] and matches its
+// values to 1e-12: then every product and dot with another bounded vertex
+// is finite, every cosine is finite, and the bounds hold. Any other
+// nonzero vertex is marked unbounded, with its features.
+func newKNNIndex(vecs []sparseVec, maxDF int) *knnIndex {
+	postings := buildPostings(vecs)
+	n, nf := len(vecs), len(postings)
+	topDF := 1
+	for _, pl := range postings {
+		topDF = max(topDF, len(pl))
+	}
+	nb := bits.Len32(uint32(topDF))
+	ix := &knnIndex{
+		vecs: vecs, postings: postings, maxDF: maxDF,
+		maxn: make([]float64, nf), nb: nb, tail: make([]float64, n*nb), inv: make([]float64, n),
+		unbounded: make([]bool, nf), unboundedV: make([]bool, n),
+	}
+	for c := range vecs {
+		v := &vecs[c]
+		if v.norm == 0 {
 			continue
 		}
-		epoch++
-		self := int32(vi)
-		// hi is the largest candidate any uncapped feature reaches; the
-		// scores of (vi, hi] are zeroed up front so the accumulation loop
-		// runs without a first-touch branch.
-		hi := self
-		for _, id := range q.ids {
-			pl := postings[id]
-			if maxDF > 0 && len(pl) > maxDF || len(pl) == 0 {
-				continue
-			}
-			if last := pl[len(pl)-1].v; last > hi {
-				hi = last
-			}
+		tc := ix.tail[c*nb : (c+1)*nb]
+		for k, id := range v.ids {
+			tc[bits.Len32(uint32(len(postings[id])))-1] += v.vals[k] * v.vals[k]
 		}
-		clear(scores[self+1 : hi+1])
-		for f, id := range q.ids {
-			pl := postings[id]
-			if maxDF > 0 && len(pl) > maxDF {
-				continue
-			}
-			qv := q.vals[f]
-			start := sort.Search(len(pl), func(j int) bool { return pl[j].v > self })
-			for _, p := range pl[start:] {
-				seen[p.v] = epoch
-				scores[p.v] += qv * p.val
-			}
+		for b := nb - 2; b >= 0; b-- {
+			tc[b] += tc[b+1]
 		}
-		// Dense scan of (vi, hi]: candidates come out in ascending order
-		// without a touched list in the accumulation loop.
-		for c := self + 1; c <= hi; c++ {
-			if seen[c] != epoch {
-				continue
+		if !(v.norm >= 1e-150 && v.norm <= 1e150 && math.Abs(math.Sqrt(tc[0])-v.norm) <= 1e-12*v.norm) {
+			ix.unboundedV[c] = true
+			for _, id := range v.ids {
+				ix.unbounded[id] = true
 			}
-			cn := vecs[c].norm
-			if cn == 0 {
-				continue
-			}
-			wt := scores[c] / (q.norm * cn)
-			if e := (Edge{To: c, Weight: wt}); rs.admits(self, e) {
-				rs.insert(self, e)
-			}
-			if e := (Edge{To: self, Weight: wt}); rs.admits(c, e) {
-				rs.insert(c, e)
-			}
+			continue
 		}
+		inv := 1 / v.norm
+		ix.inv[c] = inv
+		for b := range tc {
+			tc[b] = math.Sqrt(tc[b]) * inv * boundSlack
+		}
+		for k, id := range v.ids {
+			ix.maxn[id] = max(ix.maxn[id], math.Abs(v.vals[k])*inv*boundSlack)
+		}
+	}
+	return ix
+}
+
+// knnSearcher is one worker's scratch for knn's per-query search.
+type knnSearcher struct {
+	ix    *knnIndex
+	k     int
+	epoch int32
+	// Per vertex: the partial dot, and the epochs of the last query that
+	// touched it and that scored it exactly.
+	partial      []float64
+	seen, scored []int32
+	touched      []int32
+	// Per feature: the query's uncapped values, stamped with its epoch.
+	qd []float64
+	qs []int32
+	// The query's uncapped features as df<<32 | id, and their suffix bounds.
+	order           []uint64
+	l2Tail, maxTail []float64
+	seeds           []seedCand
+	stats           knnStats
+}
+
+// seedCand is a candidate of the seed buffer, keyed by partial/‖c‖.
+type seedCand struct {
+	key float64
+	c   int32
+}
+
+func newKNNSearcher(ix *knnIndex, k int) *knnSearcher {
+	n, nf := len(ix.vecs), len(ix.postings)
+	return &knnSearcher{
+		ix: ix, k: k,
+		partial: make([]float64, n), seen: make([]int32, n), scored: make([]int32, n),
+		qd: make([]float64, nf), qs: make([]int32, nf),
 	}
 }
 
-// topKRows is one set of n descending-sorted top-K rows over a single
-// n·k Edge backing: row v occupies buf[v·k : v·k+lens[v]]. bar[v] mirrors
-// the last edge of a full row, so the common full-row reject reads two
-// small dense arrays instead of the row itself.
-type topKRows struct {
-	k    int
-	buf  []Edge
-	lens []int32
-	bar  []Edge
-}
-
-func newTopKRows(n, k int) topKRows {
-	return topKRows{k: k, buf: make([]Edge, n*k), lens: make([]int32, n), bar: make([]Edge, n)}
-}
-
-// row returns row v, capped at its own k slots.
-func (r *topKRows) row(v int) []Edge {
-	base := v * r.k
-	return r.buf[base : base+int(r.lens[v]) : base+r.k]
-}
-
-// admits reports whether e would enter row v: the row is not full, or e
-// precedes its last edge. This is insertTopKEdge's own reject test, not a
-// float threshold, so a NaN weight still enters a row that is not full.
-func (r *topKRows) admits(v int32, e Edge) bool {
-	return int(r.lens[v]) < r.k || edgeLess(e, r.bar[v], nil)
-}
-
-// insert folds an admitted e into row v.
-func (r *topKRows) insert(v int32, e Edge) {
-	base := int(v) * r.k
-	row := insertTopKEdge(r.buf[base:base+int(r.lens[v]):base+r.k], e, r.k, nil)
-	r.lens[v] = int32(len(row))
-	if len(row) == r.k {
-		r.bar[v] = row[r.k-1]
+// search returns query vi's row, built in row (which has room for
+// min(K, n−1) edges).
+func (s *knnSearcher) search(vi int32, row []Edge) []Edge {
+	ix := s.ix
+	q := &ix.vecs[vi]
+	s.epoch++
+	ep := s.epoch
+	order := s.order[:0]
+	reference := ix.unboundedV[vi]
+	for k, id := range q.ids {
+		df := len(ix.postings[id])
+		if ix.maxDF > 0 && df > ix.maxDF {
+			continue
+		}
+		reference = reference || ix.unbounded[id]
+		s.qd[id], s.qs[id] = q.vals[k], ep
+		order = append(order, uint64(df)<<32|uint64(id))
 	}
+	s.order = order
+	if reference {
+		for _, o := range order {
+			s.stats.postings += int64(o >> 32)
+		}
+		s.touched = scoreInto(q, vi, ix.postings, ix.maxDF, s.partial, s.seen, ep, s.touched[:0])
+		s.stats.scored += int64(len(s.touched))
+		return topK(s.partial, s.touched, q.norm, ix.vecs, s.k, nil)
+	}
+	slices.Sort(order)
+
+	// Suffix bounds; position m, past the last feature, bounds nothing.
+	m := len(order)
+	l2, mx := slices.Grow(s.l2Tail[:0], m+1)[:m+1], slices.Grow(s.maxTail[:0], m+1)[:m+1]
+	s.l2Tail, s.maxTail = l2, mx
+	invQ := ix.inv[vi]
+	var sq, abs float64
+	l2[m], mx[m] = 0, 0
+	for j := m - 1; j >= 0; j-- {
+		id := uint32(order[j])
+		x := s.qd[id]
+		sq += x * x
+		abs += math.Abs(x) * ix.maxn[id]
+		r := math.Sqrt(sq)
+		l2[j] = r * invQ * boundSlack
+		mx[j] = min(r, abs) * invQ * boundSlack
+	}
+	tol := pruneTol + 3e-16*float64(len(q.ids))
+
+	// Walk the postings rarest first until no untouched vertex can enter.
+	touched := s.touched[:0]
+	s.seen[vi] = ep // never a candidate of itself
+	seeded := false
+	j := 0
+	for ; j < m; j++ {
+		if !seeded && len(touched) >= 4*s.k {
+			row = s.seed(q, row, touched)
+			seeded = true
+		}
+		if len(row) == s.k && mx[j] < row[s.k-1].Weight-tol {
+			break
+		}
+		id := uint32(order[j])
+		qv := s.qd[id]
+		pl := ix.postings[id]
+		s.stats.postings += int64(len(pl))
+		for _, p := range pl {
+			c := p.v
+			if s.seen[c] != ep {
+				if ix.inv[c] == 0 {
+					continue // a zero vector is nobody's neighbour
+				}
+				s.seen[c] = ep
+				s.partial[c] = 0
+				touched = append(touched, c)
+			}
+			s.partial[c] += qv * p.val
+		}
+	}
+	s.touched = touched
+
+	// Score, in touched order, every candidate whose bound reaches the row.
+	lt, mt, bj := l2[j], mx[j], 0
+	if j < m {
+		bj = bits.Len32(uint32(order[j]>>32)) - 1
+	}
+	for _, c := range touched {
+		if s.scored[c] == ep {
+			continue
+		}
+		if len(row) == s.k {
+			ub := s.partial[c]*invQ*ix.inv[c] + min(mt, lt*ix.tail[int(c)*ix.nb+bj])
+			if ub < row[s.k-1].Weight-tol {
+				continue
+			}
+		}
+		row = s.offer(q, c, row)
+	}
+	return row
+}
+
+// seed offers row the 2K touched candidates with the largest partial/‖c‖,
+// kept in a bounded insertion buffer, so the row fills early with strong
+// edges and its K-th weight starts pruning.
+func (s *knnSearcher) seed(q *sparseVec, row []Edge, touched []int32) []Edge {
+	size := 2 * s.k
+	buf := s.seeds[:0]
+	for _, c := range touched {
+		key := s.partial[c] * s.ix.inv[c]
+		i := len(buf)
+		if i == size {
+			if !(key > buf[size-1].key) {
+				continue
+			}
+			i--
+		} else {
+			buf = append(buf, seedCand{})
+		}
+		for ; i > 0 && buf[i-1].key < key; i-- {
+			buf[i] = buf[i-1]
+		}
+		buf[i] = seedCand{key: key, c: c}
+	}
+	s.seeds = buf
+	for _, sc := range buf {
+		row = s.offer(q, sc.c, row)
+	}
+	return row
+}
+
+// offer scores candidate c exactly — Σ q_f·c_f over c's ids in ascending
+// order, restricted to q's uncapped features, as scoreInto accumulates it
+// — and folds the edge into row.
+func (s *knnSearcher) offer(q *sparseVec, c int32, row []Edge) []Edge {
+	cv := &s.ix.vecs[c]
+	ep := s.epoch
+	var dot float64
+	for k, id := range cv.ids {
+		if s.qs[id] == ep {
+			dot += s.qd[id] * cv.vals[k]
+		}
+	}
+	s.scored[c] = ep
+	s.stats.scored++
+	return insertTopKEdge(row, Edge{To: c, Weight: dot / (q.norm * cv.norm)}, s.k, nil)
 }
 
 // scoreInto accumulates the sparse partial dot products of query vector q
@@ -917,7 +1105,7 @@ func edgeLess(a, b Edge, rank []int32) bool {
 
 // insertTopKEdge folds one candidate into a descending-sorted top-K
 // buffer by ordered insertion (O(K) with K=10), returning the possibly
-// regrown slice. The pair-once rows of knn, the batch topK pass the
+// regrown slice. The pruned rows of knn, the batch topK pass the
 // incremental Updater runs, and the LSH re-rank all share this fold.
 func insertTopKEdge(edges []Edge, e Edge, k int, rank []int32) []Edge {
 	if len(edges) == k {

@@ -2,13 +2,11 @@ package graph
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
 	"repro/internal/analysis/assert"
 	"repro/internal/corpus"
-	"repro/internal/features"
 )
 
 // Updater maintains a k-NN similarity graph incrementally as unlabelled
@@ -106,25 +104,8 @@ func NewUpdater(base *corpus.Corpus, cfg BuilderConfig) (*Updater, error) {
 	if cfg.GraphMode == ModeLSH {
 		return nil, fmt.Errorf("graph: incremental maintenance requires the exact search (GraphMode lsh unsupported)")
 	}
-	if cfg.K <= 0 {
-		cfg.K = 10
-	}
-	if cfg.Extractor == nil {
-		cfg.Extractor = features.NewExtractor(nil)
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Stats != nil && cfg.Stats.mode != cfg.Mode {
-		return nil, fmt.Errorf("graph: stats snapshot was taken in %v mode, config wants %v", cfg.Stats.mode, cfg.Mode)
-	}
-	if cfg.Mode == MIFeatures && cfg.Stats == nil {
-		if cfg.Tags == nil {
-			return nil, fmt.Errorf("graph: MIFeatures mode requires Tags")
-		}
-		if len(cfg.Tags) != len(base.Sentences) {
-			return nil, fmt.Errorf("graph: %d tag rows for %d sentences", len(cfg.Tags), len(base.Sentences))
-		}
+	if err := cfg.resolve(len(base.Sentences)); err != nil {
+		return nil, err
 	}
 
 	vecs, verts, runs, vertTotal, st := vertexVectors(base, cfg)
