@@ -5,7 +5,7 @@ GO ?= go
 
 RACE_PKGS = ./internal/propagate ./internal/graph ./internal/crf ./internal/graphner ./internal/features ./internal/serving
 
-.PHONY: all build lint lint-json lint-sarif lint-baseline test race fuzz-smoke bench-smoke bench-lint-smoke bench-lsh-smoke bench-serving-smoke bench-e2e-smoke debug-test ci tier1
+.PHONY: all build lint lint-json lint-sarif lint-baseline test race fuzz-smoke bench-smoke bench-serving-smoke bench-e2e-smoke debug-test ci tier1
 
 all: tier1
 
@@ -89,20 +89,6 @@ bench-smoke:
 	$(GO) test -run 'TestSweepAllocGuard|TestLossEverySchedule' -count=1 ./internal/propagate
 	$(GO) test -run 'TestStreamerInitialMatchesTest|TestStreamerFoldMatchesFromScratch|TestStreamerBatchOrderInvariance' -count=1 ./internal/graphner
 	$(GO) test -run 'TestDecodeAllocGuard|TestPosteriorsAllocGuard|TestCompileSentenceAllocGuard|TestSentenceGradientAllocGuard|TestSentenceGradientMatchesReference|TestPooledInferenceMatchesExact|TestLBFGSMatchesReference|TestObjectiveEvalMatchesReference|TestCompileMatchesSerial|TestCompileMemoMatchesVisitor|TestCompileMemoConcurrent|TestCompileMemoBound' -count=1 ./internal/crf
-
-# Linter self-benchmark: cold and warm whole-module graphnerlint runs
-# (wall time, packages analyzed, findings) written to BENCH_lint.json —
-# a warm-time cliff here means the result cache broke.
-bench-lint-smoke:
-	$(GO) run ./cmd/benchtables -lint
-
-# LSH smoke (<2 s of test time): the recall floor gate for the banded-LSH
-# builder across feature modes and K (recall@K >= 0.9 against the exact
-# graph on a small corpus), the worker-count bit-identity check, and the
-# zero-allocation guard on the steady-state candidate scan
-# (testing.AllocsPerRun bound compiled into the test).
-bench-lsh-smoke:
-	$(GO) test -run 'TestLSHRecallRegression|TestLSHDeterministicAcrossWorkers|TestLSHCandidateAllocGuard' -count=1 ./internal/graph
 
 # Serving smoke (~8 s of test time): in-process requests through the real
 # server — the golden identity check (served tags == System.Test output),

@@ -39,10 +39,6 @@ func main() {
 	all := flag.Bool("all", false, "regenerate every table and figure")
 	statsFlag := flag.Bool("stats", false, "print §III-D graph statistics")
 	statsOnly := flag.Bool("stats-only", false, "print §III-D graph statistics without training CRFs (fast path for -scale full)")
-	lsh := flag.Bool("lsh", false, "benchmark banded-LSH graph construction vs the exact builder across corpus sizes (recall and worker bit-identity verified inline, end-to-end F1 accuracy gate) and write a JSON report")
-	lshOut := flag.String("lsh-out", "BENCH_lsh.json", "output path for -lsh (\"-\" for stdout)")
-	lintFlag := flag.Bool("lint", false, "benchmark graphnerlint itself (cold and warm whole-module runs, packages analyzed, findings count) and write a JSON report")
-	lintOut := flag.String("lint-out", "BENCH_lint.json", "output path for -lint (\"-\" for stdout)")
 	seed := flag.Int64("seed", 1, "corpus seed")
 	quiet := flag.Bool("q", false, "suppress progress logging")
 	flag.Var(&tables, "table", "table number to regenerate (repeatable: 1-5)")
@@ -66,7 +62,7 @@ func main() {
 		figs = intList{2, 3, 4, 5}
 		*statsFlag = true
 	}
-	if len(tables) == 0 && len(figs) == 0 && !*statsFlag && !*statsOnly && !*lsh && !*lintFlag {
+	if len(tables) == 0 && len(figs) == 0 && !*statsFlag && !*statsOnly {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -79,20 +75,6 @@ func main() {
 	fail := func(what string, err error) {
 		fmt.Fprintf(os.Stderr, "benchtables: %s: %v\n", what, err)
 		os.Exit(1)
-	}
-
-	if *lsh {
-		if err := runLSH(*lshOut, log); err != nil {
-			fail("lsh", err)
-		}
-	}
-	if *lintFlag {
-		if err := runLint(*lintOut, log); err != nil {
-			fail("lint", err)
-		}
-	}
-	if len(tables) == 0 && len(figs) == 0 && !*statsFlag && !*statsOnly {
-		return
 	}
 
 	env := experiments.NewEnv(scale, *seed, log)

@@ -45,7 +45,6 @@ import (
 	"repro/internal/crf"
 	"repro/internal/eval"
 	"repro/internal/features"
-	"repro/internal/graph"
 	"repro/internal/graphner"
 	"repro/internal/sigf"
 	"repro/internal/tokenize"
@@ -141,33 +140,6 @@ func cmdGenerate(args []string) error {
 	return nil
 }
 
-// lshFlags registers the graph-mode and LSH flags shared by run and
-// freeze, returning an apply function that copies them into a Config.
-// Zero-valued knobs defer to the library defaults (graph.LSHConfig).
-func lshFlags(fs *flag.FlagSet) func(*graphner.Config) error {
-	mode := fs.String("graph-mode", "exact", "graph construction algorithm: exact or lsh (banded LSH seed, exact re-rank, neighbour-of-neighbour refinement)")
-	bits := fs.Int("lsh-bits", 0, "LSH bits per band, max 32 (0 = default 8)")
-	tables := fs.Int("lsh-tables", 0, "LSH band (hash table) count (0 = default 16)")
-	maxBucket := fs.Int("lsh-maxbucket", 0, "skip LSH buckets larger than this (0 = default 2000)")
-	rerank := fs.Int("lsh-rerank", 0, "exact-cosine re-rank budget per query (0 = default 4K+24)")
-	refine := fs.Int("lsh-refine", 0, "neighbour-of-neighbour refinement sweeps (0 = default 5, negative = none)")
-	multiProbe := fs.Bool("lsh-multiprobe", false, "also probe the least-confident bit flips of every band")
-	lshSeed := fs.Int64("lsh-seed", 1, "LSH hyperplane seed")
-	return func(cfg *graphner.Config) error {
-		m, err := graph.ParseGraphMode(*mode)
-		if err != nil {
-			return err
-		}
-		cfg.GraphMode = m
-		cfg.LSH = graph.LSHConfig{
-			Bits: *bits, Tables: *tables, MaxBucket: *maxBucket,
-			Rerank: *rerank, Refine: *refine, MultiProbe: *multiProbe,
-			Seed: *lshSeed,
-		}
-		return nil
-	}
-}
-
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	profile := fs.String("profile", "bc2gm", "corpus profile: bc2gm or aml")
@@ -177,7 +149,6 @@ func cmdRun(args []string) error {
 	iters := fs.Int("crf-iters", 40, "CRF training iterations")
 	alpha := fs.Float64("alpha", 0, "mixture weight of the CRF posterior (0 = default)")
 	k := fs.Int("k", 10, "graph out-degree")
-	applyLSH := lshFlags(fs)
 	reps := fs.Int("sigf", 10000, "sigf repetitions (0 disables)")
 	incremental := fs.Bool("incremental", false, "run TEST in streaming mode: fold extra unlabelled batches into the maintained graph and re-run fixed-sweep propagation after each")
 	streamPool := fs.Int("stream-pool", 150, "with -incremental: total extra unlabelled sentences to stream in")
@@ -201,9 +172,6 @@ func cmdRun(args []string) error {
 	gcfg.CRFIterations = *iters
 	gcfg.Alpha = *alpha
 	gcfg.K = *k
-	if err := applyLSH(&gcfg); err != nil {
-		return err
-	}
 	fmt.Println("training base CRF...")
 	sys, err := graphner.Train(train, gcfg)
 	if err != nil {
@@ -426,7 +394,6 @@ func cmdFreeze(args []string) error {
 	iters := fs.Int("crf-iters", 40, "CRF training iterations")
 	alpha := fs.Float64("alpha", 0, "mixture weight of the CRF posterior (0 = default)")
 	k := fs.Int("k", 10, "graph out-degree")
-	applyLSH := lshFlags(fs)
 	out := fs.String("out", "artifact.gna", "artifact output path")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -447,9 +414,6 @@ func cmdFreeze(args []string) error {
 	gcfg.CRFIterations = *iters
 	gcfg.Alpha = *alpha
 	gcfg.K = *k
-	if err := applyLSH(&gcfg); err != nil {
-		return err
-	}
 	fmt.Println("training base CRF...")
 	sys, err := graphner.Train(train, gcfg)
 	if err != nil {

@@ -107,18 +107,26 @@ type BuilderConfig struct {
 	// graph an Updater seeded on the base corpus converges to after
 	// streaming in the remainder.
 	Stats *Stats
-	// GraphMode selects the nearest-neighbour search algorithm:
-	// ModeExact (the default) runs knn's exact pruned search; ModeLSH
-	// runs banded random-hyperplane locality-sensitive hashing with
-	// exact cosine re-ranking, an answer to the construction
-	// scalability the paper's conclusion flags as an open problem.
-	// Recall is high but not perfect, and up to 4,000 BC2GM sentences
-	// it builds slower than ModeExact; see Recall, `benchtables -lsh`,
-	// and the graph package tests.
+	// GraphMode is ignored: knn's exact search is the only one.
+	//
+	// Deprecated: the banded-LSH builder was removed.
 	GraphMode GraphMode
-	// LSH tunes the approximate search when GraphMode is ModeLSH.
+	// LSH is ignored.
+	//
+	// Deprecated: the banded-LSH builder was removed.
 	LSH LSHConfig
 }
+
+// GraphMode is the type of the deprecated BuilderConfig.GraphMode field.
+//
+// Deprecated: the banded-LSH builder was removed; every build runs knn's
+// exact search.
+type GraphMode int
+
+// LSHConfig is the type of the deprecated BuilderConfig.LSH field.
+//
+// Deprecated: the banded-LSH builder was removed.
+type LSHConfig struct{}
 
 // resolve fills in cfg's defaults — K 10, the plain extractor, GOMAXPROCS
 // workers — and checks its Stats snapshot and MIFeatures Tags against a
@@ -150,7 +158,7 @@ func (cfg *BuilderConfig) resolve(nSents int) error {
 // Build constructs the 3-gram similarity graph over the corpus (typically
 // the union of labelled and unlabelled data, per Algorithm 1): validate,
 // vectorize, search, assemble. The k-NN search is the exact pruned search
-// of knn, or the banded-LSH search of knnLSH when cfg.GraphMode is ModeLSH.
+// of knn.
 func Build(corp *corpus.Corpus, cfg BuilderConfig) (*Graph, error) {
 	if len(corp.Sentences) == 0 {
 		return nil, fmt.Errorf("graph: empty corpus")
@@ -159,25 +167,8 @@ func Build(corp *corpus.Corpus, cfg BuilderConfig) (*Graph, error) {
 		return nil, err
 	}
 
-	if cfg.GraphMode == ModeLSH {
-		// Fill and validate the LSH knobs before the expensive counting
-		// pass: a bad Bits value must fail loudly, not truncate silently.
-		if cfg.LSH.Workers <= 0 {
-			cfg.LSH.Workers = cfg.Workers
-		}
-		cfg.LSH.defaults()
-		if err := cfg.LSH.validate(); err != nil {
-			return nil, err
-		}
-	}
-
 	vecs, verts, _, _, _ := vertexVectors(corp, cfg)
-	var neighbors [][]Edge
-	if cfg.GraphMode == ModeLSH {
-		neighbors = knnLSH(vecs, cfg, cfg.LSH)
-	} else {
-		neighbors = knn(vecs, cfg)
-	}
+	neighbors := knn(vecs, cfg)
 	g := &Graph{
 		Vertices:  verts,
 		Index:     make(map[corpus.NGram]int, len(verts)),
@@ -727,8 +718,14 @@ type knnStats struct {
 
 // knnSearch is knn, also returning how much work the search did.
 func knnSearch(vecs []sparseVec, cfg BuilderConfig) ([][]Edge, knnStats) {
+	return newKNNIndex(vecs, cfg.MaxDF).search(cfg)
+}
+
+// search runs knn's search over the index's vectors with cfg's K and
+// Workers; cfg.MaxDF must be the cap the index was built with.
+func (ix *knnIndex) search(cfg BuilderConfig) ([][]Edge, knnStats) {
+	vecs := ix.vecs
 	n := len(vecs)
-	ix := newKNNIndex(vecs, cfg.MaxDF)
 	width := min(cfg.K, max(n-1, 0))
 	buf := make([]Edge, n*width)
 	out := make([][]Edge, n)
@@ -1105,8 +1102,8 @@ func edgeLess(a, b Edge, rank []int32) bool {
 
 // insertTopKEdge folds one candidate into a descending-sorted top-K
 // buffer by ordered insertion (O(K) with K=10), returning the possibly
-// regrown slice. The pruned rows of knn, the batch topK pass the
-// incremental Updater runs, and the LSH re-rank all share this fold.
+// regrown slice. The pruned rows of knn and the batch topK pass the
+// incremental Updater runs share this fold.
 func insertTopKEdge(edges []Edge, e Edge, k int, rank []int32) []Edge {
 	if len(edges) == k {
 		if !edgeLess(e, edges[k-1], rank) {

@@ -160,3 +160,49 @@ func TestPPMIVectorsNonNegativeSorted(t *testing.T) {
 		}
 	}
 }
+
+// clusteredVecs builds sparse vectors in c latent clusters: members of a
+// cluster share most feature mass, so true nearest neighbours are
+// cluster-mates.
+func clusteredVecs(rng *rand.Rand, n, clusters, featPerCluster int) []sparseVec {
+	vecs := make([]sparseVec, n)
+	for i := range vecs {
+		cl := i % clusters
+		base := int32(cl * featPerCluster)
+		ids := make([]int32, 0, featPerCluster+2)
+		vals := make([]float64, 0, featPerCluster+2)
+		for f := 0; f < featPerCluster; f++ {
+			ids = append(ids, base+int32(f))
+			vals = append(vals, 1+rng.Float64()*0.2)
+		}
+		// A couple of noise features.
+		noise := int32(clusters*featPerCluster) + int32(rng.Intn(50))
+		ids = append(ids, noise)
+		vals = append(vals, 0.3)
+		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+		var norm float64
+		for _, v := range vals {
+			norm += v * v
+		}
+		vecs[i] = sparseVec{ids: ids, vals: vals, norm: math.Sqrt(norm)}
+	}
+	return vecs
+}
+
+// TestInsertTopKEdgeShared covers insertTopKEdge, the top-K fold the
+// pruned search and the Updater's batch topK pass share.
+func TestInsertTopKEdgeShared(t *testing.T) {
+	var edges []Edge
+	for _, w := range []float64{0.3, 0.9, 0.1, 0.7, 0.5} {
+		edges = insertTopKEdge(edges, Edge{To: int32(w * 10), Weight: w}, 3, nil)
+	}
+	if len(edges) != 3 {
+		t.Fatalf("len = %d", len(edges))
+	}
+	want := []float64{0.9, 0.7, 0.5}
+	for i, w := range want {
+		if edges[i].Weight != w {
+			t.Errorf("edges[%d].Weight = %v, want %v", i, edges[i].Weight, w)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -66,15 +67,6 @@ type Updater struct {
 // in-place repairs but makes every top-K selection slightly wider.
 const knnReserve = 6
 
-// debugCapEvents / debugUncapEvents count MaxDF cap-boundary crossings
-// observed by Updater batches across the process — features whose
-// postings list crossed the document-frequency cap in either direction.
-// Diagnostic only; read them under a debugger or ad-hoc test.
-var (
-	debugCapEvents   int
-	debugUncapEvents int
-)
-
 // UpdateResult summarizes one AddSentences batch.
 type UpdateResult struct {
 	// NewVertices counts 3-grams first seen in this batch (appended ids).
@@ -101,9 +93,6 @@ func NewUpdater(base *corpus.Corpus, cfg BuilderConfig) (*Updater, error) {
 	if len(base.Sentences) == 0 {
 		return nil, fmt.Errorf("graph: empty base corpus")
 	}
-	if cfg.GraphMode == ModeLSH {
-		return nil, fmt.Errorf("graph: incremental maintenance requires the exact search (GraphMode lsh unsupported)")
-	}
 	if err := cfg.resolve(len(base.Sentences)); err != nil {
 		return nil, err
 	}
@@ -116,7 +105,8 @@ func NewUpdater(base *corpus.Corpus, cfg BuilderConfig) (*Updater, error) {
 	// the tails seed the repair reserve.
 	wideCfg := cfg
 	wideCfg.K = cfg.K + knnReserve
-	rows := knn(vecs, wideCfg)
+	ix := newKNNIndex(vecs, cfg.MaxDF)
+	rows, _ := ix.search(wideCfg)
 	neighbors := make([][]Edge, len(rows))
 	complete := make([]bool, len(rows))
 	for i, r := range rows {
@@ -148,15 +138,11 @@ func NewUpdater(base *corpus.Corpus, cfg BuilderConfig) (*Updater, error) {
 		rows:      rows,
 		complete:  complete,
 	}
-	// Per-feature postings over the frozen feature space, ascending
-	// vertex id (base vertices are appended in id order).
-	u.postings = make([][]posting, st.alphabet.Len())
-	for vi := range vecs {
-		v := &vecs[vi]
-		for k, id := range v.ids {
-			u.postings[id] = append(u.postings[id], posting{v: int32(vi), val: v.vals[k]})
-		}
-	}
+	// The search's postings, ascending vertex id, extended with empty
+	// lists to the whole frozen feature space. buildPostings caps every
+	// list at its length, so insertPosting's append reallocates instead
+	// of spilling into the next feature's postings.
+	u.postings = slices.Grow(ix.postings, st.alphabet.Len()-len(ix.postings))[:st.alphabet.Len()]
 	// Base vertices come from UniqueTrigrams, already in ascending NGram
 	// order: canonical rank is the identity.
 	u.sorted = make([]int32, len(verts))
@@ -331,11 +317,6 @@ func (u *Updater) AddSentences(sents []*corpus.Sentence) (UpdateResult, error) {
 		cappedBefore := maxDF > 0 && u.prevDF[ai] > maxDF
 		if cappedNow == cappedBefore {
 			continue
-		}
-		if cappedBefore && !cappedNow {
-			debugUncapEvents++
-		} else {
-			debugCapEvents++
 		}
 		if holderStamp == nil {
 			holderStamp = make([]int32, n)

@@ -47,9 +47,11 @@ type Artifact struct {
 // 8-byte aligned: magic, version+reserved, payload length, checksum.
 const (
 	artifactMagic = "GNERARTF"
-	// Version history: 1 — initial layout; 2 — graph-mode and LSH
-	// configuration appended to the config section.
-	artifactVersion = 2
+	// Version history: 1 — initial layout; 2 — the graph mode and the
+	// approximate search's knobs appended to the config section; 3 —
+	// those values dropped with the approximate builder. Only the
+	// current version loads.
+	artifactVersion = 3
 )
 
 // artifactHeaderSize is the fixed byte length of the header:
@@ -236,7 +238,10 @@ func ReadArtifact(r io.Reader) (*Artifact, error) {
 	if string(hdr[:8]) != artifactMagic {
 		return nil, fmt.Errorf("graphner: artifact: bad magic %q (not a graphner artifact)", hdr[:8])
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != artifactVersion {
+	switch v := binary.LittleEndian.Uint32(hdr[8:]); {
+	case v >= 1 && v < artifactVersion:
+		return nil, fmt.Errorf("graphner: artifact version %d is no longer supported; re-freeze", v)
+	case v != artifactVersion:
 		return nil, fmt.Errorf("graphner: artifact: unsupported version %d (want %d)", v, artifactVersion)
 	}
 	plen := binary.LittleEndian.Uint64(hdr[16:])
@@ -375,20 +380,8 @@ func (a *Artifact) encodePayload(w io.Writer) error {
 	b.i64(int64(cfg.Order))
 	b.i64(int64(cfg.CRFIterations))
 	b.i64(int64(cfg.MaxDF))
-	b.i64(int64(cfg.Shards)) // deprecated and unread; kept so the format is unchanged
+	b.i64(int64(cfg.Shards)) // deprecated and unread
 	b.i64(int64(cfg.LossEvery))
-	b.i64(int64(cfg.GraphMode))
-	b.i64(int64(cfg.LSH.Bits))
-	b.i64(int64(cfg.LSH.Tables))
-	b.i64(int64(cfg.LSH.MaxBucket))
-	b.i64(int64(cfg.LSH.Rerank))
-	b.i64(int64(cfg.LSH.Refine))
-	b.i64(cfg.LSH.Seed)
-	if cfg.LSH.MultiProbe {
-		b.u8(1)
-	} else {
-		b.u8(0)
-	}
 	// Model.
 	m := a.model
 	b.i64(int64(m.Order))
@@ -576,14 +569,6 @@ func (a *Artifact) decodePayload(payload []byte) error {
 	cfg.MaxDF = int(b.i64())
 	cfg.Shards = int(b.i64())
 	cfg.LossEvery = int(b.i64())
-	cfg.GraphMode = graph.GraphMode(b.i64())
-	cfg.LSH.Bits = int(b.i64())
-	cfg.LSH.Tables = int(b.i64())
-	cfg.LSH.MaxBucket = int(b.i64())
-	cfg.LSH.Rerank = int(b.i64())
-	cfg.LSH.Refine = int(b.i64())
-	cfg.LSH.Seed = b.i64()
-	cfg.LSH.MultiProbe = b.u8() == 1
 	a.cfg = cfg
 	// Model.
 	m := &crf.Model{}

@@ -120,7 +120,6 @@ func TestArtifactRoundTrip(t *testing.T) {
 // stored as their zero values.
 func TestArtifactFullConfigRoundTrip(t *testing.T) {
 	sys, test, out := frozenSystem(t)
-	lsh := graph.LSHConfig{Bits: 9, Tables: 11, MaxBucket: 500, Rerank: 70, Refine: 3, MultiProbe: true, Seed: 42}
 	want := Config{
 		Alpha:           0.17,
 		Mu:              3e-5,
@@ -134,8 +133,6 @@ func TestArtifactFullConfigRoundTrip(t *testing.T) {
 		CRFIterations:   10,
 		MaxDF:           123,
 		Shards:          3,
-		GraphMode:       graph.ModeLSH,
-		LSH:             lsh,
 		LossEvery:       4,
 		TransitionPower: 0.11,
 	}
@@ -230,6 +227,7 @@ func TestArtifactReadFailures(t *testing.T) {
 	wantReadError(t, art, func(b []byte) []byte { return b[:len(b)-7] }, "truncated payload")
 	wantReadError(t, art, func(b []byte) []byte { b[0] = 'X'; return b }, "magic")
 	wantReadError(t, art, func(b []byte) []byte { b[8] = 99; return b }, "version")
+	wantReadError(t, art, func(b []byte) []byte { b[8] = 2; return b }, "artifact version 2 is no longer supported; re-freeze")
 	wantReadError(t, art, func(b []byte) []byte { b[len(b)-1] ^= 1; return b }, "checksum")
 
 	// Structural failures: encode a deliberately inconsistent artifact

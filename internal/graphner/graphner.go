@@ -67,20 +67,18 @@ type Config struct {
 	// graph.BuilderConfig).
 	MaxDF int
 	// Shards is ignored. Results never depended on it, so ignoring it
-	// is exact. Artifacts still carry the value, so their format is
-	// unchanged.
+	// is exact. Artifacts still carry the value.
 	//
 	// Deprecated: in-process sharding was removed; set Workers instead.
 	Shards int
-	// GraphMode selects the k-NN algorithm graph construction runs:
-	// graph.ModeExact (the default) or graph.ModeLSH, the banded
-	// locality-sensitive builder with exact re-ranking and
-	// neighbour-of-neighbour refinement (see graph.LSHConfig and
-	// BENCH_lsh.json for the speed/recall trade).
+	// GraphMode is ignored: graph construction always runs the exact
+	// k-NN search. Artifacts do not carry it.
+	//
+	// Deprecated: the banded-LSH builder was removed.
 	GraphMode graph.GraphMode
-	// LSH tunes the approximate builder when GraphMode is graph.ModeLSH;
-	// the zero value means the recommended defaults. LSH.Workers is
-	// machine-local and follows Workers.
+	// LSH is ignored.
+	//
+	// Deprecated: the banded-LSH builder was removed.
 	LSH graph.LSHConfig
 	// LossEvery forwards propagate.Config.LossEvery: how often the
 	// diagnostic Equation-1 objective is evaluated during propagation.
@@ -351,8 +349,6 @@ func (s *System) builderConfig(union *corpus.Corpus, ins []*crf.Instance) graph.
 		Extractor:   s.cfg.Extractor,
 		MaxDF:       s.cfg.MaxDF,
 		Workers:     s.cfg.Workers,
-		GraphMode:   s.cfg.GraphMode,
-		LSH:         s.cfg.LSH,
 	}
 	if s.cfg.Mode == graph.MIFeatures {
 		tags := make([][]corpus.Tag, len(union.Sentences))

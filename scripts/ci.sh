@@ -58,9 +58,6 @@ make fuzz-smoke
 echo "==> bench smoke"
 make bench-smoke
 
-echo "==> bench lsh smoke"
-make bench-lsh-smoke
-
 echo "==> bench serving smoke"
 make bench-serving-smoke
 
